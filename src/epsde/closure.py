@@ -27,14 +27,20 @@ The closed moment equations come in two flavors:
   Rauch-Tung-Striebel smoother.
 
 For speed, every expectation a given SdeSpec needs is expanded once into
-a polynomial in the entries of (mean, upper-triangular cov) and stored as
-flat coefficient/exponent arrays; evaluating the full right-hand side is
-then a handful of vectorized array operations.
+a polynomial in the entries of (mean, upper-triangular cov).  The terms
+of all these polynomials share few distinct monomials (49 for the 3052
+smoothing terms of a d=6 linear SDE), so each block is compiled to
+evaluate every distinct monomial once, as a product of gathered factors
+and powers, and to sum coeff * monomial into its rows with one bincount.
+One code path serves a single point and a stack of points.  The
+smoothing right-hand side contracts its block values with the forward
+reference z = (1, vec C_fw^-1, C_fw^-1 m_fw); that contraction is
+compiled too, into one (output, value, z, coeff) gather and one
+bincount.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -45,6 +51,7 @@ from .gaussian import GaussianMoments, _chol
 from .processes import PolynomialMap, SdeSpec
 
 MAX_DEGREE = 8
+_ONE = np.ones(1)
 
 # ---------------------------------------------------------------------------
 # Wick pairings and numeric expectations
@@ -115,20 +122,6 @@ def gaussian_expectation(p: PolynomialMap, m: GaussianMoments) -> float:
 # Symbolic expansion into polynomials over (mean, cov) entries
 
 
-@dataclass(frozen=True, eq=False)
-class MomentPoly:
-    """Polynomial in the packed variables (m_0..m_d-1, C upper triangle)."""
-
-    n_vars: int
-    coeffs: np.ndarray
-    expo: np.ndarray
-
-    def evaluate(self, v: np.ndarray) -> float:
-        if len(self.coeffs) == 0:
-            return 0.0
-        return float((v[None, :] ** self.expo).prod(axis=1) @ self.coeffs)
-
-
 class _SymBuilder:
     """Expands E[x^alpha] under N(m, C) into monomials over (m, C) entries."""
 
@@ -180,40 +173,76 @@ class _SymBuilder:
                 out[key] = out.get(key, 0.0) + w * c
         return {k: v for k, v in out.items() if v != 0.0}
 
-    def freeze(self, poly_dict: dict) -> MomentPoly:
-        order = sorted(poly_dict)
-        coeffs = np.array([poly_dict[k] for k in order], dtype=float)
-        expo = (np.array(order, dtype=np.int64).reshape(len(order), self.n_vars)
-                if order else np.zeros((0, self.n_vars), dtype=np.int64))
-        return MomentPoly(self.n_vars, coeffs, expo)
-
 
 class _Block:
-    """Several MomentPolys evaluated in one shot."""
+    """Expanded expectations compiled into one evaluation kernel.
 
-    def __init__(self, polys: list[MomentPoly], n_vars: int):
+    Each row is a polynomial over the packed variables (m, C upper
+    triangle), given as an {exponent tuple: coefficient} dict.  A point
+    enters as u = (mean, vec cov, 1), stacked points as the columns of
+    u; u_index maps each packed variable to its entry of u, the last of
+    which is C[d-1, d-1].  The rows' terms are deduplicated into
+    distinct monomials at compile time.  A monomial is the product of
+    its factors in variable order; a factor is an entry of u or a power
+    of one from a small table appended to u, and monomials with fewer
+    factors than the longest are padded with u's trailing 1.  Each term
+    is coeff * monomial, summed into its row in term order.
+    """
+
+    def __init__(self, polys: list[dict], u_index: np.ndarray):
         self.n_rows = len(polys)
-        rows, coeffs, expo = [], [], []
-        for r, p in enumerate(polys):
-            rows.extend([r] * len(p.coeffs))
-            coeffs.append(p.coeffs)
-            expo.append(p.expo)
+        rows, coeffs, term_mono = [], [], []
+        monos: dict[tuple[int, ...], int] = {}
+        for r, poly in enumerate(polys):
+            for key in sorted(poly):
+                rows.append(r)
+                coeffs.append(poly[key])
+                term_mono.append(monos.setdefault(key, len(monos)))
         self.rows = np.array(rows, dtype=np.int64)
-        self.coeffs = (np.concatenate(coeffs) if coeffs
-                       else np.zeros(0))
-        self.expo = (np.concatenate(expo, axis=0) if expo
-                     else np.zeros((0, n_vars), dtype=np.int64))
-        self._scatter = np.zeros((len(self.rows), self.n_rows))
-        self._scatter[np.arange(len(self.rows)), self.rows] = 1.0
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.term_mono = np.array(term_mono, dtype=np.int64)
 
-    def evaluate(self, v: np.ndarray) -> np.ndarray:
-        vals = (v[None, :] ** self.expo).prod(axis=1) * self.coeffs
-        return np.bincount(self.rows, weights=vals, minlength=self.n_rows)
+        one = int(u_index[-1]) + 1
+        powers: dict[tuple[int, int], int] = {}   # (entry, exp) -> position
+        factors = []
+        for key in monos:
+            fac = []
+            for var, e in enumerate(key):
+                if e == 1:
+                    fac.append(int(u_index[var]))
+                elif e > 1:
+                    fac.append(powers.setdefault((int(u_index[var]), e),
+                                                 one + 1 + len(powers)))
+            factors.append(fac)
+        width = max(map(len, factors), default=1)
+        self.factors = tuple(np.array([f + [one] * (width - len(f))
+                                       for f in factors],
+                                      dtype=np.int64).reshape(-1, width).T)
+        self.pow_src = self.pow_exp = None
+        if powers:
+            self.pow_src, self.pow_exp = np.array(list(powers)).T
 
-    def evaluate_batch(self, v: np.ndarray) -> np.ndarray:
-        """Rows of v are packed (mean, cov) points; returns (len(v), n_rows)."""
-        vals = (v[:, None, :] ** self.expo[None]).prod(axis=-1) * self.coeffs
-        return vals @ self._scatter
+    def evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Row values at one point u, or at points stacked as u's columns.
+
+        Entries run down the first axis, so one code path serves both and
+        a single point is indexed as a plain vector.  Every row of a stack
+        is summed in term order, as for a single point, so the two agree
+        bit for bit.
+        """
+        if self.pow_src is not None:
+            u = np.concatenate((u, (u[self.pow_src].T ** self.pow_exp).T))
+        mono = u[self.factors[0]]
+        for col in self.factors[1:]:
+            mono = mono * u[col]
+        terms = (mono[self.term_mono].T * self.coeffs).T
+        if u.ndim == 1:
+            return np.bincount(self.rows, weights=terms,
+                               minlength=self.n_rows)
+        n = u.shape[1]
+        rows = self.rows[:, None] * n + np.arange(n)
+        return np.bincount(rows.ravel(), weights=terms.ravel(),
+                           minlength=self.n_rows * n).reshape(self.n_rows, n)
 
 
 class ClosedOdeRhs:
@@ -222,11 +251,17 @@ class ClosedOdeRhs:
     def __init__(self, spec: SdeSpec):
         d = spec.dim
         self.dim = d
-        self.iu = np.triu_indices(d)
+        iu = np.triu_indices(d)
         sym = _SymBuilder(d)
+        expanded: dict[tuple[bytes, bytes], dict] = {}
 
         def E(p: PolynomialMap) -> dict:
-            return sym.expectation(p)
+            # many requested expectations repeat (symmetric b, swapped
+            # x_q x_r, forward terms reused by smoothing): expand each once
+            key = (p.coeffs.tobytes(), p.expo.tobytes())
+            if key not in expanded:
+                expanded[key] = sym.expectation(p)
+            return expanded[key]
 
         def sub(d1: dict, d2: dict) -> dict:
             return sym.combine((1.0, d1), (-1.0, d2))
@@ -241,8 +276,8 @@ class ClosedOdeRhs:
         # forward: dm_i = <a_i>;  dC_ij = <a_i x_j> + <a_j x_i>
         #          - m_i <a_j> - m_j <a_i> + <b_ij>
         Ea = [E(a[i]) for i in range(d)]
-        fwd_polys = [sym.freeze(Ea[i]) for i in range(d)]
-        for (i, j) in zip(*self.iu):
+        fwd_polys = list(Ea)
+        for (i, j) in zip(*iu):
             i, j = int(i), int(j)
             dc = sym.combine(
                 (1.0, E(a[i].mul_monomial(j))),
@@ -251,8 +286,14 @@ class ClosedOdeRhs:
                 (-1.0, sym.expectation_times_mean(Ea[i], j)),
                 (1.0, E(b[i][j])),
             )
-            fwd_polys.append(sym.freeze(dc))
-        self._fwd = _Block(fwd_polys, sym.n_vars)
+            fwd_polys.append(dc)
+        # packed variable -> its entry of u = (mean, vec cov, 1)
+        u_index = np.concatenate([np.arange(d), d + iu[0] * d + iu[1]])
+        self._fwd = _Block(fwd_polys, u_index)
+        # (d, d) -> the row of (dmean, dcov upper triangle) holding it
+        tri = np.zeros((d, d), dtype=np.int64)
+        tri[iu] = tri[iu[1], iu[0]] = d + np.arange(len(iu[0]))
+        self._cov_rows = tri
 
         # smoothing pieces, packed in one block:
         #   SA_i           = <a_i> - <div_i>
@@ -262,76 +303,99 @@ class ClosedOdeRhs:
         #   SBXX_(p,q,k,r) = <b_pk x_q x_r>
         polys = []
         for i in range(d):
-            polys.append(sym.freeze(sub(Ea[i], E(div[i]))))
+            polys.append(sub(Ea[i], E(div[i])))
         for i in range(d):
             for j in range(d):
-                polys.append(sym.freeze(sub(E(a[i].mul_monomial(j)),
-                                            E(div[i].mul_monomial(j)))))
+                polys.append(sub(E(a[i].mul_monomial(j)),
+                                 E(div[i].mul_monomial(j))))
         for i in range(d):
             for k in range(d):
-                polys.append(sym.freeze(E(b[i][k])))
+                polys.append(E(b[i][k]))
         for i in range(d):
             for k in range(d):
                 for r in range(d):
-                    polys.append(sym.freeze(E(b[i][k].mul_monomial(r))))
+                    polys.append(E(b[i][k].mul_monomial(r)))
         for p_ in range(d):
             for q in range(d):
                 for k in range(d):
                     for r in range(d):
-                        polys.append(sym.freeze(
-                            E(b[p_][k].mul_monomial(q).mul_monomial(r))))
-        self._smb = _Block(polys, sym.n_vars)
-        n0 = d
-        n1 = n0 + d * d
-        n2 = n1 + d * d
-        n3 = n2 + d ** 3
-        self._slices = (n0, n1, n2, n3)
+                        polys.append(
+                            E(b[p_][k].mul_monomial(q).mul_monomial(r)))
+        self._smb = _Block(polys, u_index)
+        self._compile_contraction(np.array([bool(p) for p in polys]))
 
-    def pack(self, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        return np.concatenate([mean, cov[self.iu]])
+    def _compile_contraction(self, nonzero: np.ndarray) -> None:
+        """Index the smoothing output as one contraction of the block values
+        against z = (1, vec P, w), P = C_fw^-1 and w = P m_fw:
+
+            dmean_i = SA_i + sum_kr SBX_ikr P_kr - sum_k SB_ik w_k,
+            dxx_pq  = SAX_pq + SAX_qp - SB_pq
+                      + sum_kr (SBXX_pqkr + SBXX_qpkr) P_kr
+                      - sum_k (SBX_pkq + SBX_qkp) w_k,
+
+        dxx = d<x x^T>/dt taken over the upper triangle p <= q.  Entries
+        whose value is identically zero are dropped.
+        """
+        d = self.dim
+        i = np.arange(d)
+        p, q = np.triu_indices(d)
+        t = d + np.arange(len(p))
+        # value rows of the smoothing block, and the z entries
+        blocks = np.cumsum([d, d * d, d * d, d ** 3])
+        AX = blocks[0] + np.arange(d * d).reshape(d, d)
+        B = blocks[1] + np.arange(d * d).reshape(d, d)
+        BX = blocks[2] + np.arange(d ** 3).reshape(d, d, d)
+        BXX = blocks[3] + np.arange(d ** 4).reshape(d, d, d, d)
+        P = 1 + np.arange(d * d).reshape(d, d)
+        w = 1 + d * d + i
+        entries = [   # (output, value, z, coeff), broadcast against each other
+            (i, i, 0, 1.0),
+            (i[:, None, None], BX, P, 1.0),
+            (i[:, None], B, w, -1.0),
+            (t, AX[p, q], 0, 1.0),
+            (t, AX[q, p], 0, 1.0),
+            (t, B[p, q], 0, -1.0),
+            (t[:, None, None], BXX[p, q], P, 1.0),
+            (t[:, None, None], BXX[q, p], P, 1.0),
+            (t[:, None], BX[p, :, q], w, -1.0),
+            (t[:, None], BX[q, :, p], w, -1.0),
+        ]
+        flat = [[x.ravel() for x in np.broadcast_arrays(*e)] for e in entries]
+        out, val, z, coef = map(np.concatenate, zip(*flat))
+        keep = nonzero[val]
+        self._s_out, self._s_val = out[keep], val[keep]
+        self._s_z, self._s_coef = z[keep], coef[keep]
+        self._s_len = d + len(p)
+
+    def _point(self, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+        """The block input u = (mean, vec cov, 1) of one point, or of
+        stacked points as columns."""
+        if mean.ndim == 1:
+            return np.concatenate((mean, cov.ravel(), _ONE))
+        n = len(mean)
+        return np.concatenate((mean.T, cov.reshape(n, -1).T, np.ones((1, n))))
 
     def forward(self, mean: np.ndarray, cov: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-        d = self.dim
-        vals = self._fwd.evaluate(self.pack(mean, cov))
-        dmean = vals[:d]
-        dcov = np.zeros((d, d))
-        dcov[self.iu] = vals[d:]
-        dcov[self.iu[1], self.iu[0]] = vals[d:]
-        return dmean, dcov
+        """Forward derivatives at one point, (d,) and (d, d), or at stacked
+        points, (n, d) and (n, d, d)."""
+        vals = self._fwd.evaluate(self._point(mean, cov)).T
+        return vals[..., :self.dim], vals.take(self._cov_rows, axis=-1)
 
-    def forward_batch(self, means: np.ndarray, covs: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Forward derivatives for stacked (n, d) means and (n, d, d) covs."""
-        d = self.dim
-        n = len(means)
-        v = np.concatenate([means, covs[:, self.iu[0], self.iu[1]]], axis=1)
-        vals = self._fwd.evaluate_batch(v)
-        dcovs = np.zeros((n, d, d))
-        dcovs[:, self.iu[0], self.iu[1]] = vals[:, d:]
-        dcovs[:, self.iu[1], self.iu[0]] = vals[:, d:]
-        return vals[:, :d], dcovs
+    forward_batch = forward
 
     def smoothing(self, mean_s: np.ndarray, cov_s: np.ndarray,
                   mean_fw: np.ndarray, prec_fw: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
         """Backward derivative given forward reference (mean_fw, C_fw^-1)."""
-        d = self.dim
-        n0, n1, n2, n3 = self._slices
-        vals = self._smb.evaluate(self.pack(mean_s, cov_s))
-        A = vals[:n0]
-        AX = vals[n0:n1].reshape(d, d)
-        B = vals[n1:n2].reshape(d, d)
-        BX = vals[n2:n3].reshape(d, d, d)
-        BXX = vals[n3:].reshape(d, d, d, d)   # (p, q, k, r)
-        w = prec_fw @ mean_fw
-        jf = prec_fw.ravel()
-        dmean = A + BX.reshape(d, d * d) @ jf - B @ w
-        T = (BXX.reshape(d * d, d * d) @ jf).reshape(d, d) \
-            - np.einsum('pkq,k->pq', BX, w)
-        dxx = AX + AX.T - B + T + T.T
-        dcov = dxx - np.outer(mean_s, dmean) - np.outer(dmean, mean_s)
-        return dmean, dcov
+        vals = self._smb.evaluate(self._point(mean_s, cov_s))
+        z = np.concatenate((_ONE, prec_fw.ravel(), prec_fw @ mean_fw))
+        out = np.bincount(self._s_out, minlength=self._s_len,
+                          weights=self._s_coef * vals[self._s_val]
+                          * z[self._s_z])
+        dmean = out[:self.dim]
+        m_dmean = mean_s[:, None] * dmean
+        return dmean, out[self._cov_rows] - m_dmean - m_dmean.T
 
 
 @lru_cache(maxsize=None)

@@ -20,10 +20,16 @@ from epsde.closure import (
 from epsde.gaussian import GaussianMoments
 from epsde.processes import (
     PolynomialMap,
+    SdeSpec,
     cle_from_mjp,
     linear_sde,
     lotka_volterra,
 )
+
+# a stable d=6 OU process with a dense diffusion matrix
+D6 = 6
+A6 = -np.eye(D6) + 0.3 * (np.eye(D6, k=1) + np.eye(D6, k=-1))
+B6 = 0.5 * np.eye(D6) + 0.1 * np.ones((D6, D6))
 
 
 def _rng(seed):
@@ -130,6 +136,23 @@ def test_forward_rhs_exact_on_linear_sde():
         np.testing.assert_allclose(dC, A @ C + C @ A.T + b, atol=1e-12)
 
 
+def _naive_forward(spec, g):
+    # direct expectation of each defining term of the forward equations
+    d = spec.dim
+    m = g.mean
+
+    def E(p):
+        return gaussian_expectation(p, g)
+
+    dm = np.array([E(spec.drift[i]) for i in range(d)])
+    dC = np.array([[E(spec.drift[i].mul_monomial(j))
+                    + E(spec.drift[j].mul_monomial(i))
+                    - m[i] * E(spec.drift[j]) - m[j] * E(spec.drift[i])
+                    + E(spec.diffusion[i][j])
+                    for j in range(d)] for i in range(d)])
+    return dm, dC
+
+
 def test_forward_rhs_matches_naive_expectations():
     # compiled block vs direct expectation of each defining term
     spec = cle_from_mjp(lotka_volterra())
@@ -137,17 +160,13 @@ def test_forward_rhs_matches_naive_expectations():
     C = np.array([[90.0, -20.0], [-20.0, 160.0]])
     g = GaussianMoments(m, C)
     dm, dC = forward_rhs(spec, g)
+    want_m, want_C = _naive_forward(spec, g)
     for i in range(2):
-        assert dm[i] == pytest.approx(
-            gaussian_expectation(spec.drift[i], g), rel=1e-12)
+        assert dm[i] == pytest.approx(want_m[i], rel=1e-12)
     for i in range(2):
         for j in range(2):
-            want = (gaussian_expectation(spec.drift[i].mul_monomial(j), g)
-                    + gaussian_expectation(spec.drift[j].mul_monomial(i), g)
-                    - m[i] * gaussian_expectation(spec.drift[j], g)
-                    - m[j] * gaussian_expectation(spec.drift[i], g)
-                    + gaussian_expectation(spec.diffusion[i][j], g))
-            assert dC[i, j] == pytest.approx(want, rel=1e-10, abs=1e-8)
+            assert dC[i, j] == pytest.approx(want_C[i, j], rel=1e-10,
+                                             abs=1e-8)
 
 
 def test_smoothing_rhs_exact_on_linear_sde():
@@ -250,6 +269,94 @@ def test_smoothing_rhs_matches_naive_on_state_dependent_diffusion():
     dm_n, dC_n = _naive_smoothing(spec, g_s, m_f, C_f)
     np.testing.assert_allclose(dm, dm_n, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(dC, dC_n, rtol=1e-9, atol=1e-7)
+
+
+def _assert_close_to_largest(got, want, rel):
+    np.testing.assert_allclose(got, want, rtol=rel,
+                               atol=rel * np.abs(want).max())
+
+
+def test_rhs_matches_naive_on_d6_linear_sde():
+    spec = linear_sde(A6, B6)
+    rng = _rng(707)
+    for _ in range(2):
+        m_s = rng.standard_normal(D6)
+        C_s = _random_spd(rng, D6, 0.3)
+        m_f = rng.standard_normal(D6)
+        C_f = _random_spd(rng, D6, 0.3)
+        g_s = GaussianMoments(m_s, C_s)
+        for got, want in zip(forward_rhs(spec, g_s),
+                             _naive_forward(spec, g_s)):
+            _assert_close_to_largest(got, want, 1e-12)
+        got = smoothing_rhs(spec, g_s, GaussianMoments(m_f, C_f))
+        for got_, want in zip(got, _naive_smoothing(spec, g_s, m_f, C_f)):
+            _assert_close_to_largest(got_, want, 1e-12)
+
+
+def _quadratic_diffusion_sde():
+    # b(x) quadratic in x: the smoothing terms <b x x> reach degree 4, so
+    # the compiled blocks raise means to powers of 3 and 4
+    def poly(*terms):
+        return PolynomialMap.from_terms(2, terms)
+
+    drift = (poly((1.0, [1, 0]), (-0.3, [1, 1])),
+             poly((0.2, [1, 1]), (-0.8, [0, 1]), (0.1, [0, 0])))
+    b01 = poly((0.05, [1, 1]))
+    diffusion = ((poly((0.3, [2, 0]), (0.2, [0, 0])), b01),
+                 (b01, poly((0.4, [0, 2]), (0.1, [1, 0]))))
+    return SdeSpec(2, drift, diffusion)
+
+
+def test_rhs_matches_naive_on_quadratic_diffusion():
+    spec = _quadratic_diffusion_sde()
+    m_s = np.array([1.3, 0.7])
+    C_s = np.array([[0.4, -0.1], [-0.1, 0.25]])
+    m_f = np.array([1.1, 0.9])
+    C_f = np.array([[0.5, 0.05], [0.05, 0.3]])
+    g_s = GaussianMoments(m_s, C_s)
+    for got, want in zip(forward_rhs(spec, g_s), _naive_forward(spec, g_s)):
+        _assert_close_to_largest(got, want, 1e-12)
+    got = smoothing_rhs(spec, g_s, GaussianMoments(m_f, C_f))
+    for got_, want in zip(got, _naive_smoothing(spec, g_s, m_f, C_f)):
+        _assert_close_to_largest(got_, want, 1e-12)
+
+
+@pytest.mark.parametrize("spec", [cle_from_mjp(lotka_volterra()),
+                                  linear_sde(A6, B6),
+                                  _quadratic_diffusion_sde()],
+                         ids=["lv", "linear-d6", "quadratic-diffusion"])
+def test_forward_batch_rows_equal_single_points(spec):
+    rhs = closed_rhs(spec)
+    d = spec.dim
+    rng = _rng(808)
+    means = rng.uniform(0.5, 2.0, (7, d))
+    covs = np.stack([_random_spd(rng, d, 0.1) for _ in range(7)])
+    dms, dCs = rhs.forward_batch(means, covs)
+    assert dms.shape == (7, d) and dCs.shape == (7, d, d)
+    for i in range(7):
+        dm, dC = rhs.forward(means[i], covs[i])
+        assert np.array_equal(dms[i], dm) and np.array_equal(dCs[i], dC)
+
+
+def _array_bytes(obj, seen):
+    # bytes of every numpy buffer reachable from obj's attributes
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.base is None else _array_bytes(obj.base,
+                                                                 seen)
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(x, seen) for x in obj)
+    if isinstance(obj, dict):
+        return sum(_array_bytes(x, seen) for x in obj.values())
+    if hasattr(obj, "__dict__"):
+        return _array_bytes(vars(obj), seen)
+    return 0
+
+
+def test_compiled_rhs_memory_stays_small_at_d6():
+    assert _array_bytes(closed_rhs(linear_sde(A6, B6)), set()) < 1_000_000
 
 
 def test_smoothing_dcov_symmetric():

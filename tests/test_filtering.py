@@ -16,6 +16,7 @@ from epsde.filtering import (
     MarginalPath,
     SiteSet,
     TimeGrid,
+    _check_finite,
     apply_canonical_site,
     backward_pass,
     forward_pass,
@@ -232,6 +233,19 @@ def test_forward_diverges_on_explosive_drift():
     with pytest.raises(DivergedMoments) as info:
         forward_pass(spec, SiteSet.zeros(grid, 1, []), prior, grid)
     assert info.value.time_index is not None
+
+
+@pytest.mark.parametrize("where", ["mean", "cov"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -2e12])
+def test_divergence_guard_rejects_non_finite_and_huge_entries(where, bad):
+    mean = np.array([1.0, -2.0])
+    cov = np.array([[1e12, 0.5], [0.5, 2.0]])   # at the bound: accepted
+    _check_finite(mean, cov, 7, 1e12)
+    target = mean if where == "mean" else cov
+    target.flat[1] = bad
+    with pytest.raises(DivergedMoments) as info:
+        _check_finite(mean, cov, 7, 1e12)
+    assert info.value.time_index == 7
 
 
 def test_repair_counter_stays_zero_on_benign_problem():

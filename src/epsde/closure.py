@@ -214,7 +214,8 @@ class _Block:
                     fac.append(powers.setdefault((int(u_index[var]), e),
                                                  one + 1 + len(powers)))
             factors.append(fac)
-        width = max(map(len, factors), default=1)
+        # at least one column, so a block of constants multiplies by 1
+        width = max(1, max(map(len, factors), default=0))
         self.factors = tuple(np.array([f + [one] * (width - len(f))
                                        for f in factors],
                                       dtype=np.int64).reshape(-1, width).T)
@@ -382,6 +383,8 @@ class ClosedOdeRhs:
         vals = self._fwd.evaluate(self._point(mean, cov)).T
         return vals[..., :self.dim], vals.take(self._cov_rows, axis=-1)
 
+    # the same method under the name the benchmark's tracer wraps as its
+    # closure.forward_batch layer
     forward_batch = forward
 
     def smoothing(self, mean_s: np.ndarray, cov_s: np.ndarray,

@@ -102,6 +102,9 @@ class EpConfig:
             raise ValueError("flat_init_scale must be positive")
         if self.init_mode not in ("auto", "project", "zero"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
+        # NaN fails the comparison too
+        if not 0.0 < self.diverge_threshold < np.inf:
+            raise ValueError("diverge_threshold must be finite and positive")
 
 
 @dataclass(eq=False)

@@ -338,6 +338,22 @@ def test_forward_batch_rows_equal_single_points(spec):
         assert np.array_equal(dms[i], dm) and np.array_equal(dCs[i], dC)
 
 
+def test_forward_rhs_on_brownian_motion():
+    # zero drift and constant diffusion: every forward monomial is the
+    # constant 1, so the forward block holds no variable factor at all
+    rhs = closed_rhs(linear_sde([[0.0]], [[1.0]]))
+    dm, dC = rhs.forward(np.array([0.7]), np.array([[2.0]]))
+    assert np.array_equal(dm, [0.0]) and np.array_equal(dC, [[1.0]])
+    means = np.array([[0.7], [-1.5], [3.0]])
+    covs = np.array([[[2.0]], [[0.1]], [[5.0]]])
+    dms, dCs = rhs.forward_batch(means, covs)
+    for i in range(3):
+        dm, dC = rhs.forward(means[i], covs[i])
+        assert np.array_equal(dms[i], dm) and np.array_equal(dCs[i], dC)
+    assert np.array_equal(dms, np.zeros((3, 1)))
+    assert np.array_equal(dCs, np.ones((3, 1, 1)))
+
+
 def _array_bytes(obj, seen):
     # bytes of every numpy buffer reachable from obj's attributes
     if id(obj) in seen:

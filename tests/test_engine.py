@@ -276,6 +276,12 @@ def test_config_validation():
         EpConfig(init_mode="warm")
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan])
+def test_config_rejects_diverge_threshold_not_finite_positive(threshold):
+    with pytest.raises(ValueError, match="diverge_threshold"):
+        EpConfig(diverge_threshold=threshold)
+
+
 def test_observation_validation():
     spec = linear_sde(A2, B2)
     grid = TimeGrid(0.0, 2.0, 100)

@@ -20,7 +20,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -569,6 +568,9 @@ def cmd_benchmark(cfg: ExperimentConfig, out=None, workers: int = 1
                          cfg.init, cfg.x0, cfg.obs_times, variance, cfg.ep,
                          base, base + 1))
     if workers > 1:
+        # imported only here, so single-worker runs skip its start-up
+        # time and memory
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_job, jobs))
     else:

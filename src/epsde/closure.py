@@ -26,17 +26,20 @@ The closed moment equations come in two flavors:
   constant b this reduces exactly to the classical continuous-time
   Rauch-Tung-Striebel smoother.
 
-For speed, every expectation a given SdeSpec needs is expanded once into
-a polynomial in the entries of (mean, upper-triangular cov).  The terms
-of all these polynomials share few distinct monomials (49 for the 3052
-smoothing terms of a d=6 linear SDE), so each block is compiled to
-evaluate every distinct monomial once, as a product of gathered factors
-and powers, and to sum coeff * monomial into its rows with one bincount.
-One code path serves a single point and a stack of points.  The
-smoothing right-hand side contracts its block values with the forward
-reference z = (1, vec C_fw^-1, C_fw^-1 m_fw); that contraction is
-compiled too, into one (output, value, z, coeff) gather and one
-bincount.
+Moments travel packed as one flat vector y = (mean, cov upper triangle)
+(see pack/unpack), and both right-hand sides take and return that
+layout: the derivative of y is (dmean, dcov upper triangle).  For speed,
+every expectation a given SdeSpec needs is expanded once into a
+polynomial in the entries of y.  The terms of all these polynomials
+share few distinct monomials (49 for the 3052 smoothing terms of a d=6
+linear SDE), so each block is compiled to evaluate every distinct
+monomial once, as a product of gathered factors and powers, and to sum
+coeff * monomial into its rows with one bincount.  One code path serves
+a single point and a stack of points.  The smoothing right-hand side
+contracts its block values with the forward reference
+z = (1, vec C_fw^-1, C_fw^-1 m_fw) (see smoothing_reference); that
+contraction is compiled too, into one (output, value, z, coeff) gather
+and one bincount.
 """
 
 from __future__ import annotations
@@ -174,22 +177,60 @@ class _SymBuilder:
         return {k: v for k, v in out.items() if v != 0.0}
 
 
+# ---------------------------------------------------------------------------
+# Packed moments
+
+
+@lru_cache(maxsize=None)
+def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of a (d, d) covariance's upper triangle, and the
+    (d, d) map from each covariance entry to its packed position."""
+    iu = np.triu_indices(d)
+    sym = np.empty((d, d), dtype=np.int64)
+    sym[iu] = sym[iu[1], iu[0]] = d + np.arange(len(iu[0]))
+    return iu[0] * d + iu[1], sym
+
+
+def pack(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """y = (mean, cov upper triangle) of one Gaussian, (d,) and (d, d), or
+    of stacked ones, (..., d) and (..., d, d), as rows.  The triangle runs
+    in np.triu_indices order, the order _SymBuilder numbers it in."""
+    flat, _ = _layout(mean.shape[-1])
+    tri = cov.reshape(cov.shape[:-2] + (-1,))[..., flat]
+    return np.concatenate((mean, tri), axis=-1)
+
+
+def unpack(y: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, cov) of one packed vector or of packed rows; cov is
+    symmetric by construction."""
+    return y[..., :d], y[..., _layout(d)[1]]
+
+
+def smoothing_reference(mean_fw: np.ndarray, prec_fw: np.ndarray
+                        ) -> np.ndarray:
+    """z = (1, vec C_fw^-1, C_fw^-1 m_fw) of one forward reference, given
+    its mean (d,) and precision (d, d), or of stacked ones as rows."""
+    lead = mean_fw.shape[:-1]
+    return np.concatenate((np.ones(lead + (1,)),
+                           prec_fw.reshape(lead + (-1,)),
+                           (prec_fw @ mean_fw[..., None])[..., 0]), axis=-1)
+
+
 class _Block:
     """Expanded expectations compiled into one evaluation kernel.
 
-    Each row is a polynomial over the packed variables (m, C upper
+    Each row is a polynomial over the packed variables y = (m, C upper
     triangle), given as an {exponent tuple: coefficient} dict.  A point
-    enters as u = (mean, vec cov, 1), stacked points as the columns of
-    u; u_index maps each packed variable to its entry of u, the last of
-    which is C[d-1, d-1].  The rows' terms are deduplicated into
-    distinct monomials at compile time.  A monomial is the product of
-    its factors in variable order; a factor is an entry of u or a power
-    of one from a small table appended to u, and monomials with fewer
-    factors than the longest are padded with u's trailing 1.  Each term
-    is coeff * monomial, summed into its row in term order.
+    enters as u = (y, 1), stacked points as the columns of u.  The rows'
+    terms are deduplicated into distinct monomials at compile time.  A
+    monomial is the product of its factors in variable order; a factor
+    is an entry of y or a power of one from a small table appended to u,
+    and monomials with fewer factors than the longest are padded with
+    u's 1.  Each term is coeff * monomial, summed into its row in term
+    order.
     """
 
-    def __init__(self, polys: list[dict], u_index: np.ndarray):
+    def __init__(self, polys: list[dict], n_vars: int):
         self.n_rows = len(polys)
         rows, coeffs, term_mono = [], [], []
         monos: dict[tuple[int, ...], int] = {}
@@ -202,16 +243,16 @@ class _Block:
         self.coeffs = np.array(coeffs, dtype=float)
         self.term_mono = np.array(term_mono, dtype=np.int64)
 
-        one = int(u_index[-1]) + 1
-        powers: dict[tuple[int, int], int] = {}   # (entry, exp) -> position
+        one = n_vars
+        powers: dict[tuple[int, int], int] = {}   # (var, exp) -> position
         factors = []
         for key in monos:
             fac = []
             for var, e in enumerate(key):
                 if e == 1:
-                    fac.append(int(u_index[var]))
+                    fac.append(var)
                 elif e > 1:
-                    fac.append(powers.setdefault((int(u_index[var]), e),
+                    fac.append(powers.setdefault((var, e),
                                                  one + 1 + len(powers)))
             factors.append(fac)
         # at least one column, so a block of constants multiplies by 1
@@ -223,16 +264,19 @@ class _Block:
         if powers:
             self.pow_src, self.pow_exp = np.array(list(powers)).T
 
-    def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """Row values at one point u, or at points stacked as u's columns.
+    def evaluate(self, y: np.ndarray) -> np.ndarray:
+        """Row values at one packed point y, or at points stacked as y's
+        columns.
 
         Entries run down the first axis, so one code path serves both and
         a single point is indexed as a plain vector.  Every row of a stack
         is summed in term order, as for a single point, so the two agree
         bit for bit.
         """
+        parts = (y, _ONE if y.ndim == 1 else np.ones((1, y.shape[1])))
         if self.pow_src is not None:
-            u = np.concatenate((u, (u[self.pow_src].T ** self.pow_exp).T))
+            parts += ((y[self.pow_src].T ** self.pow_exp).T,)
+        u = np.concatenate(parts)
         mono = u[self.factors[0]]
         for col in self.factors[1:]:
             mono = mono * u[col]
@@ -288,13 +332,7 @@ class ClosedOdeRhs:
                 (1.0, E(b[i][j])),
             )
             fwd_polys.append(dc)
-        # packed variable -> its entry of u = (mean, vec cov, 1)
-        u_index = np.concatenate([np.arange(d), d + iu[0] * d + iu[1]])
-        self._fwd = _Block(fwd_polys, u_index)
-        # (d, d) -> the row of (dmean, dcov upper triangle) holding it
-        tri = np.zeros((d, d), dtype=np.int64)
-        tri[iu] = tri[iu[1], iu[0]] = d + np.arange(len(iu[0]))
-        self._cov_rows = tri
+        self._fwd = _Block(fwd_polys, sym.n_vars)
 
         # smoothing pieces, packed in one block:
         #   SA_i           = <a_i> - <div_i>
@@ -322,7 +360,7 @@ class ClosedOdeRhs:
                     for r in range(d):
                         polys.append(
                             E(b[p_][k].mul_monomial(q).mul_monomial(r)))
-        self._smb = _Block(polys, u_index)
+        self._smb = _Block(polys, sym.n_vars)
         self._compile_contraction(np.array([bool(p) for p in polys]))
 
     def _compile_contraction(self, nonzero: np.ndarray) -> None:
@@ -335,7 +373,8 @@ class ClosedOdeRhs:
                       - sum_k (SBX_pkq + SBX_qkp) w_k,
 
         dxx = d<x x^T>/dt taken over the upper triangle p <= q.  Entries
-        whose value is identically zero are dropped.
+        whose value is identically zero are dropped.  dcov_pq is then
+        dxx_pq - m_p dmean_q - m_q dmean_p.
         """
         d = self.dim
         i = np.arange(d)
@@ -367,38 +406,28 @@ class ClosedOdeRhs:
         self._s_out, self._s_val = out[keep], val[keep]
         self._s_z, self._s_coef = z[keep], coef[keep]
         self._s_len = d + len(p)
+        self._sym = p, q
 
-    def _point(self, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        """The block input u = (mean, vec cov, 1) of one point, or of
-        stacked points as columns."""
-        if mean.ndim == 1:
-            return np.concatenate((mean, cov.ravel(), _ONE))
-        n = len(mean)
-        return np.concatenate((mean.T, cov.reshape(n, -1).T, np.ones((1, n))))
-
-    def forward(self, mean: np.ndarray, cov: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Forward derivatives at one point, (d,) and (d, d), or at stacked
-        points, (n, d) and (n, d, d)."""
-        vals = self._fwd.evaluate(self._point(mean, cov)).T
-        return vals[..., :self.dim], vals.take(self._cov_rows, axis=-1)
+    def forward(self, y: np.ndarray) -> np.ndarray:
+        """Packed forward derivative at one packed point, (n_p,), or at
+        points stacked as rows, (n, n_p)."""
+        return self._fwd.evaluate(y.T).T
 
     # the same method under the name the benchmark's tracer wraps as its
     # closure.forward_batch layer
     forward_batch = forward
 
-    def smoothing(self, mean_s: np.ndarray, cov_s: np.ndarray,
-                  mean_fw: np.ndarray, prec_fw: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Backward derivative given forward reference (mean_fw, C_fw^-1)."""
-        vals = self._smb.evaluate(self._point(mean_s, cov_s))
-        z = np.concatenate((_ONE, prec_fw.ravel(), prec_fw @ mean_fw))
+    def smoothing(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Packed backward derivative at one packed point y, given the
+        forward reference row z (see smoothing_reference)."""
+        vals = self._smb.evaluate(y)
         out = np.bincount(self._s_out, minlength=self._s_len,
                           weights=self._s_coef * vals[self._s_val]
                           * z[self._s_z])
         dmean = out[:self.dim]
-        m_dmean = mean_s[:, None] * dmean
-        return dmean, out[self._cov_rows] - m_dmean - m_dmean.T
+        p, q = self._sym
+        out[self.dim:] -= y[p] * dmean[q] + y[q] * dmean[p]
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -410,7 +439,7 @@ def closed_rhs(spec: SdeSpec) -> ClosedOdeRhs:
 def forward_rhs(spec: SdeSpec, m: GaussianMoments
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative of (mean, cov) for the filtering-direction flow."""
-    return closed_rhs(spec).forward(m.mean, m.cov)
+    return unpack(closed_rhs(spec).forward(pack(m.mean, m.cov)), spec.dim)
 
 
 def smoothing_rhs(spec: SdeSpec, m_s: GaussianMoments, m_fw: GaussianMoments
@@ -419,4 +448,6 @@ def smoothing_rhs(spec: SdeSpec, m_s: GaussianMoments, m_fw: GaussianMoments
     L = _chol(m_fw.cov, "forward covariance")
     Linv = np.linalg.inv(L)
     prec = Linv.T @ Linv
-    return closed_rhs(spec).smoothing(m_s.mean, m_s.cov, m_fw.mean, prec)
+    dy = closed_rhs(spec).smoothing(pack(m_s.mean, m_s.cov),
+                                    smoothing_reference(m_fw.mean, prec))
+    return unpack(dy, spec.dim)

@@ -15,11 +15,13 @@ change falls below the tolerance; a final forward/backward evaluation
 at the fixed sites produces the returned marginals and the free-energy
 estimate of the log evidence.
 
-run_adf makes a single forward sweep, computing the continuous site of
-each cell from the filtered moments at its left node and replacing the
-filtered marginal by the tilted one at each observation.  With
-smoothing enabled a backward pass follows; the realized sites make the
-result exactly one parallel EP step in the conjugate case.
+run_adf is one forward pass (filtering.forward_pass) with a site hook,
+so ADF and EP run the same propagation kernel.  At each node the hook
+sets the observation site that moves the marginal to the tilted one,
+and the continuous site of the cell starting there from the filtered
+moments.  With smoothing enabled a backward pass follows; the realized
+sites make the result exactly one parallel EP step in the conjugate
+case.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import closed_rhs
 from .errors import (
     DivergedMoments,
     ImproperCavity,
@@ -37,13 +38,9 @@ from .errors import (
     QuadratureUnderflow,
 )
 from .filtering import (
-    ForwardPassResult,
     MarginalPath,
     SiteSet,
     TimeGrid,
-    _check_finite,
-    _rk4,
-    apply_canonical_site,
     backward_pass,
     forward_pass,
 )
@@ -51,11 +48,13 @@ from .gaussian import (
     GaussianCanonical,
     GaussianMoments,
     RepairCounter,
-    canonical_to_moments,
     log_partition,
     moments_to_canonical,
-    repair_psd,
 )
+# not called here; importable under these names because the benchmark's
+# tracer (bench/tracer.py) wraps them in this module
+from .filtering import apply_canonical_site  # noqa: F401
+from .gaussian import repair_psd  # noqa: F401
 from .likelihoods import (
     GaussianObs,
     LogNormalObs,
@@ -259,8 +258,7 @@ def free_energy(fwd_log_norm: float, sites: SiteSet, smoothed: MarginalPath,
         total += tilted[s] - log_partition(nat)
     dt = grid.dt
     if loss is not None:
-        u = np.array([expected_loss(loss, smoothed.node(k), t)
-                      for k, t in enumerate(grid.times)])
+        u = expected_loss(loss, smoothed, grid.times)
         total -= dt * 0.5 * float((u[:-1] + u[1:]).sum())
     if sites.cont_h.any() or sites.cont_J.any():
         total -= dt * _site_field_dot_f(sites, smoothed.means, smoothed.covs)
@@ -306,7 +304,6 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     sites = _init_sites(obs_model, values, loss, grid, dim, idx, cfg)
     counter = RepairCounter()
     times = grid.times
-    n_nodes = grid.n_steps + 1
     quad_guard = not isinstance(obs_model, GaussianObs)
 
     skipped = 0
@@ -360,13 +357,8 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             prop_cont_h = sites.cont_h
             prop_cont_J = sites.cont_J
             if loss is not None:
-                prop_cont_h = np.empty_like(sites.cont_h)
-                prop_cont_J = np.empty_like(sites.cont_J)
-                for k in range(n_nodes):
-                    lam = continuous_site_update(loss, smoothed.node(k),
-                                                 times[k])
-                    prop_cont_h[k] = lam.h
-                    prop_cont_J[k] = lam.J
+                prop_cont_h, prop_cont_J = continuous_site_update(
+                    loss, smoothed, times)
         except (NonPositiveDefinite, DivergedMoments) as err:
             err.sweep = sweep
             raise
@@ -418,53 +410,29 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             cfg: EpConfig | None = None) -> EpResult:
     """Single-sweep assumed density filtering, optionally smoothed.
 
-    The continuous site of each cell is computed from the filtered
-    moments at the cell's left node; at observation nodes the filtered
-    marginal is replaced by the tilted one and the realized site
-    recorded, so the sites and log normalizer feed the same free-energy
-    evaluation EP uses.
+    The forward pass runs with a hook that, at each observation node,
+    sets the site moving the marginal to the tilted one and records it,
+    and computes the continuous site of each cell from the filtered
+    moments at its left node, so the sites and log normalizer feed the
+    same free-energy evaluation EP uses.
     """
     cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
     idx, values = _snap_observations(obs, grid, dim)
     sites = SiteSet.zeros(grid, dim, idx)
     counter = RepairCounter()
-    rhs = closed_rhs(spec)
-    N = grid.n_steps
-    dt = grid.dt
     times = grid.times
     obs_slot = {int(i): s for s, i in enumerate(idx)}
-
-    flow_m = np.empty((N + 1, dim))
-    flow_c = np.empty((N + 1, dim, dim))
-    pre_m = np.empty((N + 1, dim))
-    pre_c = np.empty((N + 1, dim, dim))
-    post_m = np.empty((N + 1, dim))
-    post_c = np.empty((N + 1, dim, dim))
-
-    log_norm = 0.0
     tilted = np.zeros(len(idx))
     skipped = 0
-    mean = np.asarray(init.mean, dtype=float).copy()
-    cov = np.asarray(init.cov, dtype=float).copy()
 
-    for k in range(N + 1):
-        flow_m[k], flow_c[k] = mean, cov
-        kc = k - 1
-        if k > 0 and (sites.cont_h[kc].any() or sites.cont_J[kc].any()):
-            try:
-                mean, cov, dlz = apply_canonical_site(
-                    mean, cov, sites.cont_h[kc], sites.cont_J[kc], dt)
-            except NonPositiveDefinite as err:
-                err.time_index = k
-                raise
-            log_norm += dlz
-        pre_m[k], pre_c[k] = mean, cov
-        if k in obs_slot:
-            s = obs_slot[k]
+    def match_sites(k, mean, cov):
+        nonlocal skipped
+        s = obs_slot.get(k)
+        if s is not None:
             eta = moments_to_canonical(GaussianMoments(mean, cov))
             try:
-                tm, lz = tilted_moments(
+                tm, tilted[s] = tilted_moments(
                     obs_model, values[s], eta, quad_order=cfg.quad_order,
                     eps_psd=cfg.eps_psd, counter=counter)
             except QuadratureUnderflow:
@@ -473,22 +441,16 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
                 post = moments_to_canonical(tm)
                 sites.obs_h[s] = post.h - eta.h
                 sites.obs_J[s] = post.J - eta.J
-                tilted[s] = lz
-                log_norm += log_partition(post) - log_partition(eta)
-                mean, cov = tm.mean.copy(), tm.cov.copy()
-        post_m[k], post_c[k] = mean, cov
-        _check_finite(mean, cov, k, cfg.diverge_threshold)
+                mean, cov = tm.mean, tm.cov
         if loss is not None:
-            lam = continuous_site_update(
-                loss, GaussianMoments(mean, cov), times[k])
+            lam = continuous_site_update(loss, GaussianMoments(mean, cov),
+                                         times[k])
             sites.cont_h[k] = lam.h
             sites.cont_J[k] = lam.J
-        if k < N:
-            mean, cov = _rk4(rhs.forward, mean, cov, dt)
-            mean, cov = repair_psd(mean, cov, cfg.eps_psd, counter)
 
-    fwd = ForwardPassResult(grid, flow_m, flow_c, pre_m, pre_c,
-                            post_m, post_c, log_norm, counter.count)
+    fwd = forward_pass(spec, sites, init, grid, eps_psd=cfg.eps_psd,
+                       diverge_threshold=cfg.diverge_threshold,
+                       counter=counter, site_hook=match_sites)
     filtered = fwd.filtered
 
     if smoothing:
@@ -505,7 +467,8 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     if tilted is None:
         log_evidence = float("nan")
     else:
-        log_evidence = free_energy(log_norm, sites, path, tilted, grid, loss)
+        log_evidence = free_energy(fwd.log_norm, sites, path, tilted, grid,
+                                   loss)
 
     return EpResult(smoothed=path, filtered=filtered, sites=sites,
                     log_evidence=log_evidence, sweeps_run=1, converged=True,

@@ -1,12 +1,22 @@
 """Forward and backward marginal propagation on a fixed time grid.
 
+Both passes integrate each node's moments as one packed vector
+y = (mean, cov upper triangle), the layout the compiled closure
+right-hand sides take and return (closure.pack/unpack).  A Runge-Kutta
+stage is one array update, the divergence guard one reduction, and the
+covariance is unpacked only where a factorization needs it: site
+updates, the PSD guard and the forward reference precisions.  Stored
+rows are unpacked once per pass.
+
 The forward pass integrates the closed moment equations cell by cell
 with classical fourth-order Runge-Kutta and applies site factors as
 canonical-parameter updates at the nodes: the piecewise-constant
 continuous site for cell k acts at the cell's right boundary with
 weight dt, followed by the discrete site when the node carries an
 observation.  Each update contributes its log-normalizer increment, so
-with all sites zero the accumulated log normalizer is exactly zero.
+with all sites zero the accumulated log normalizer is exactly zero.  A
+site hook may set each node's sites just before they act; assumed
+density filtering is this pass with a hook that moment-matches them.
 
 The backward pass transports the smoothed marginal from t1 to t0.  The
 smoothing equations need the forward marginal of the pure flow inside
@@ -23,18 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import closed_rhs
+from .closure import closed_rhs, pack, smoothing_reference, unpack
 from .errors import DivergedMoments, NonPositiveDefinite
-from .gaussian import (
-    GaussianCanonical,
-    GaussianMoments,
-    RepairCounter,
-    add_site,
-    canonical_to_moments,
-    log_partition,
-    moments_to_canonical,
-    repair_psd,
-)
+from .gaussian import GaussianMoments, RepairCounter, _chol, repair_psd
 from .processes import SdeSpec
 
 
@@ -136,33 +137,65 @@ class ForwardPassResult:
 
 
 def apply_canonical_site(mean: np.ndarray, cov: np.ndarray, h: np.ndarray,
-                         J: np.ndarray, scale: float = 1.0
+                         J: np.ndarray, scale: float = 1.0,
+                         time_index: int | None = None
                          ) -> tuple[np.ndarray, np.ndarray, float]:
     """Multiply a Gaussian by exp(scale * (h.x - x.J x / 2)), renormalize.
 
-    Returns the new (mean, cov) and the log-normalizer increment.
+    Returns the new (mean, cov) and the log-normalizer increment
+    log Z(h1, J1) - log Z(h0, J0), where (h0, J0) = (cov^-1 mean, cov^-1)
+    and (h1, J1) adds the scaled site.  With log Z(h, J) = h.J^-1 h / 2 -
+    log det J / 2 + const, it needs only the Cholesky factors of cov and
+    of J1.  Raises NonPositiveDefinite, located at time_index, when either
+    is not positive definite.
     """
-    c = moments_to_canonical(GaussianMoments(mean, cov))
-    lz0 = log_partition(c)
-    c2 = add_site(c, GaussianCanonical(h, J), scale)
-    lz1 = log_partition(c2)
-    m2 = canonical_to_moments(c2)
-    return m2.mean, m2.cov, lz1 - lz0
+    L0 = _chol(cov, "covariance", time_index)
+    L0inv = np.linalg.inv(L0)
+    J0 = L0inv.T @ L0inv
+    h0 = J0 @ mean
+    h1 = h0 + scale * h
+    L1 = _chol(J0 + scale * J, "precision", time_index)
+    L1inv = np.linalg.inv(L1)
+    cov1 = L1inv.T @ L1inv
+    cov1 = 0.5 * (cov1 + cov1.T)
+    mean1 = cov1 @ h1
+    # log det J0 = -2 sum log diag L0 and log det J1 = 2 sum log diag L1
+    dlz = (0.5 * float(h1 @ mean1 - h0 @ mean)
+           - float(np.log(L0.diagonal() * L1.diagonal()).sum()))
+    return mean1, cov1, dlz
 
 
-def _rk4(rhs, mean, cov, dt):
-    k1m, k1c = rhs(mean, cov)
-    k2m, k2c = rhs(mean + 0.5 * dt * k1m, cov + 0.5 * dt * k1c)
-    k3m, k3c = rhs(mean + 0.5 * dt * k2m, cov + 0.5 * dt * k2c)
-    k4m, k4c = rhs(mean + dt * k3m, cov + dt * k3c)
-    return (mean + dt / 6.0 * (k1m + 2.0 * (k2m + k3m) + k4m),
-            cov + dt / 6.0 * (k1c + 2.0 * (k2c + k3c) + k4c))
+def _rk4(f, y, dt):
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _check_finite(mean, cov, k, threshold):
+def _rk4_stages(rhs, y, h, refs):
+    """One backward Runge-Kutta step; refs = forward reference rows z
+    (closure.smoothing_reference) at t+h, the midpoint and t."""
+    z1, z2, z3 = refs
+    k1 = rhs.smoothing(y, z1)
+    k2 = rhs.smoothing(y + 0.5 * h * k1, z2)
+    k3 = rhs.smoothing(y + 0.5 * h * k2, z2)
+    k4 = rhs.smoothing(y + h * k3, z3)
+    return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _repair(y, d, eps_psd, counter):
+    """The PSD guard on a packed state.  An unpacked covariance is exactly
+    symmetric, so unless the guard clamped (and counted), it returned
+    the state unchanged."""
+    repairs = counter.count
+    mean, cov = repair_psd(*unpack(y, d), eps_psd, counter)
+    return y if counter.count == repairs else pack(mean, cov)
+
+
+def _check_finite(y, k, threshold):
     # NaN compares false, so NaN and +-inf entries fail the finite bound
-    if not (np.abs(mean).max() <= threshold
-            and np.abs(cov).max() <= threshold):
+    if not np.abs(y).max() <= threshold:
         raise DivergedMoments(
             f"moments diverged at node {k}", time_index=k)
 
@@ -170,8 +203,15 @@ def _check_finite(mean, cov, k, threshold):
 def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
                  grid: TimeGrid, *, eps_psd: float = 1e-8,
                  diverge_threshold: float = 1e12,
-                 counter: RepairCounter | None = None) -> ForwardPassResult:
-    """Propagate the initial marginal through flow and sites over the grid."""
+                 counter: RepairCounter | None = None,
+                 site_hook=None) -> ForwardPassResult:
+    """Propagate the initial marginal through flow and sites over the grid.
+
+    site_hook(k, mean, cov), when given, is called at every node k with
+    the marginal after the continuous site and before the discrete one.
+    It may set the node's discrete site and the continuous site of cell
+    k (sites.cont_h[k], sites.cont_J[k]), which the pass then applies.
+    """
     rhs = closed_rhs(spec)
     d = spec.dim
     N = grid.n_steps
@@ -180,52 +220,37 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
         counter = RepairCounter()
     repairs_before = counter.count
     obs_slot = {int(i): k for k, i in enumerate(sites.obs_idx)}
-
-    flow_m = np.empty((N + 1, d))
-    flow_c = np.empty((N + 1, d, d))
-    pre_m = np.empty((N + 1, d))
-    pre_c = np.empty((N + 1, d, d))
-    post_m = np.empty((N + 1, d))
-    post_c = np.empty((N + 1, d, d))
-
+    cont_on = (sites.cont_h.any(axis=1)
+               | sites.cont_J.any(axis=(1, 2))).tolist()
+    y = pack(init.mean, init.cov)
+    flow, pre, post = np.empty((3, N + 1, len(y)))
     log_norm = 0.0
-    mean = np.asarray(init.mean, dtype=float).copy()
-    cov = np.asarray(init.cov, dtype=float).copy()
 
-    def place(k, mean, cov):
+    def site(y, h, J, scale, k):
         nonlocal log_norm
-        flow_m[k], flow_c[k] = mean, cov
-        kc = k - 1   # continuous site of the cell ending here
-        if k > 0 and (sites.cont_h[kc].any() or sites.cont_J[kc].any()):
-            try:
-                mean, cov, dlz = apply_canonical_site(
-                    mean, cov, sites.cont_h[kc], sites.cont_J[kc], dt)
-            except NonPositiveDefinite as err:
-                err.time_index = k
-                raise
-            log_norm += dlz
-        pre_m[k], pre_c[k] = mean, cov
-        if k in obs_slot:
-            s = obs_slot[k]
-            try:
-                mean, cov, dlz = apply_canonical_site(
-                    mean, cov, sites.obs_h[s], sites.obs_J[s])
-            except NonPositiveDefinite as err:
-                err.time_index = k
-                raise
-            log_norm += dlz
-        post_m[k], post_c[k] = mean, cov
-        _check_finite(mean, cov, k, diverge_threshold)
-        return mean, cov
+        mean, cov, dlz = apply_canonical_site(*unpack(y, d), h, J, scale,
+                                              time_index=k)
+        log_norm += dlz
+        return pack(mean, cov)
 
-    mean, cov = place(0, mean, cov)
-    for k in range(N):
-        mean, cov = _rk4(rhs.forward, mean, cov, dt)
-        mean, cov = repair_psd(mean, cov, eps_psd, counter)
-        mean, cov = place(k + 1, mean, cov)
+    for k in range(N + 1):
+        if k > 0:
+            y = _repair(_rk4(rhs.forward, y, dt), d, eps_psd, counter)
+        flow[k] = y
+        if k > 0 and cont_on[k - 1]:   # site of the cell ending here
+            y = site(y, sites.cont_h[k - 1], sites.cont_J[k - 1], dt, k)
+        pre[k] = y
+        if site_hook is not None:
+            site_hook(k, *unpack(y, d))
+            cont_on[k] = bool(sites.cont_h[k].any() or sites.cont_J[k].any())
+        s = obs_slot.get(k)
+        if s is not None:
+            y = site(y, sites.obs_h[s], sites.obs_J[s], 1.0, k)
+        post[k] = y
+        _check_finite(y, k, diverge_threshold)
 
-    return ForwardPassResult(grid, flow_m, flow_c, pre_m, pre_c,
-                             post_m, post_c, log_norm,
+    return ForwardPassResult(grid, *unpack(flow, d), *unpack(pre, d),
+                             *unpack(post, d), log_norm,
                              counter.count - repairs_before)
 
 
@@ -239,6 +264,8 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
     """
     rhs = closed_rhs(spec)
     grid = fwd.grid if grid is None else grid
+    if counter is None:
+        counter = RepairCounter()
     N = grid.n_steps
     dt = grid.dt
     d = fwd.post_means.shape[1]
@@ -246,84 +273,61 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
     # pure-flow reference inside cell k runs from post[k] to flow[k+1];
     # cubic Hermite in the node values and flow derivatives gives the
     # midpoint needed by the Runge-Kutta stages
-    p0m, p0c = fwd.post_means[:-1], fwd.post_covs[:-1]
-    p1m, p1c = fwd.flow_means[1:], fwd.flow_covs[1:]
-    d0m, d0c = rhs.forward_batch(p0m, p0c)
-    d1m, d1c = rhs.forward_batch(p1m, p1c)
-    mid_m = 0.5 * (p0m + p1m) + dt * (d0m - d1m) / 8.0
-    mid_c = 0.5 * (p0c + p1c) + dt * (d0c - d1c) / 8.0
+    y0 = pack(fwd.post_means[:-1], fwd.post_covs[:-1])
+    y1 = pack(fwd.flow_means[1:], fwd.flow_covs[1:])
+    dy0 = rhs.forward_batch(y0)
+    dy1 = rhs.forward_batch(y1)
+    mid = 0.5 * (y0 + y1) + dt * (dy0 - dy1) / 8.0
 
+    # stage references of every cell at its right end, midpoint and left
+    # end, in one batch
+    ref_means, ref_covs = unpack(np.stack((y1, mid, y0)), d)
     try:
-        P_left = np.linalg.inv(p0c)
-        P_mid = np.linalg.inv(mid_c)
-        P_right = np.linalg.inv(p1c)
+        ref_precs = np.linalg.inv(ref_covs)
     except np.linalg.LinAlgError:
         raise NonPositiveDefinite("forward reference covariance is singular")
+    refs = smoothing_reference(ref_means, ref_precs).swapaxes(0, 1)
 
     # The backward gain scales with |E[b]| / |C_fw|, so cells whose
     # forward covariance collapses (near-exact observations) get too
     # stiff for one explicit step; those cells are split.  When the
     # covariance is small the forward covariance derivative is the
     # diffusion itself, which makes |dC_fw| a usable gain proxy.
-    b_norms = np.maximum(np.linalg.norm(d0c, axis=(1, 2)),
-                         np.linalg.norm(d1c, axis=(1, 2)))
-    pin_norms = np.maximum(np.linalg.norm(P_left, axis=(1, 2)),
-                           np.maximum(np.linalg.norm(P_mid, axis=(1, 2)),
-                                      np.linalg.norm(P_right, axis=(1, 2))))
+    b_norms = np.linalg.norm(unpack(np.stack((dy0, dy1)), d)[1],
+                             axis=(2, 3)).max(axis=0)
+    pin_norms = np.linalg.norm(ref_precs, axis=(2, 3)).max(axis=0)
     n_subs = np.clip(np.ceil(dt * b_norms * pin_norms / 0.5),
-                     1, 512).astype(np.int64)
+                     1, 512).astype(np.int64).tolist()
 
-    def hermite_ref(k: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    def hermite_refs(k: int, s: np.ndarray) -> np.ndarray:
+        """Reference rows z of cell k at the cell fractions s."""
+        s = s[:, None]
         s2, s3 = s * s, s * s * s
         h00, h01 = 2 * s3 - 3 * s2 + 1, -2 * s3 + 3 * s2
         h10, h11 = s3 - 2 * s2 + s, s3 - s2
-        return (h00 * p0m[k] + h01 * p1m[k]
-                + dt * (h10 * d0m[k] + h11 * d1m[k]),
-                h00 * p0c[k] + h01 * p1c[k]
-                + dt * (h10 * d0c[k] + h11 * d1c[k]))
+        rm, rc = unpack(h00 * y0[k] + h01 * y1[k]
+                        + dt * (h10 * dy0[k] + h11 * dy1[k]), d)
+        try:
+            prec = np.linalg.inv(rc)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefinite(
+                "forward reference covariance is singular", time_index=k)
+        return smoothing_reference(rm, prec)
 
-    s_means = np.empty((N + 1, d))
-    s_covs = np.empty((N + 1, d, d))
-    mean = fwd.post_means[N].copy()
-    cov = fwd.post_covs[N].copy()
-    s_means[N], s_covs[N] = mean, cov
-
+    rows = np.empty((N + 1, y0.shape[1]))
+    y = rows[N] = pack(fwd.post_means[N], fwd.post_covs[N])
     for k in range(N - 1, -1, -1):
         n_sub = n_subs[k]
         if n_sub == 1:
-            stages = [(p1m[k], P_right[k]), (mid_m[k], P_mid[k]),
-                      (p0m[k], P_left[k])]
-            h = -dt
-            mean, cov = _rk4_stages(rhs, mean, cov, h, stages)
-            mean, cov = repair_psd(mean, cov, eps_psd, counter)
+            y = _rk4_stages(rhs, y, -dt, refs[k])
+            y = _repair(y, d, eps_psd, counter)
         else:
             h = -dt / n_sub
             for j in range(n_sub - 1, -1, -1):
-                pts = []
-                for s in ((j + 1) / n_sub, (j + 0.5) / n_sub, j / n_sub):
-                    rm, rc = hermite_ref(k, s)
-                    try:
-                        pts.append((rm, np.linalg.inv(rc)))
-                    except np.linalg.LinAlgError:
-                        raise NonPositiveDefinite(
-                            "forward reference covariance is singular",
-                            time_index=k)
-                mean, cov = _rk4_stages(rhs, mean, cov, h, pts)
-                mean, cov = repair_psd(mean, cov, eps_psd, counter)
-        _check_finite(mean, cov, k, diverge_threshold)
-        s_means[k], s_covs[k] = mean, cov
+                s = np.array([(j + 1) / n_sub, (j + 0.5) / n_sub, j / n_sub])
+                y = _rk4_stages(rhs, y, h, hermite_refs(k, s))
+                y = _repair(y, d, eps_psd, counter)
+        _check_finite(y, k, diverge_threshold)
+        rows[k] = y
 
-    return MarginalPath(grid.times, s_means, s_covs, kind="smoothed")
-
-
-def _rk4_stages(rhs, mean, cov, h, refs):
-    """One backward Runge-Kutta step; refs = [(m, C^-1)] at t+h, mid, t."""
-    (m1, P1), (m2, P2), (m3, P3) = refs
-    k1m, k1c = rhs.smoothing(mean, cov, m1, P1)
-    k2m, k2c = rhs.smoothing(mean + 0.5 * h * k1m, cov + 0.5 * h * k1c,
-                             m2, P2)
-    k3m, k3c = rhs.smoothing(mean + 0.5 * h * k2m, cov + 0.5 * h * k2c,
-                             m2, P2)
-    k4m, k4c = rhs.smoothing(mean + h * k3m, cov + h * k3c, m3, P3)
-    return (mean + h / 6.0 * (k1m + 2.0 * (k2m + k3m) + k4m),
-            cov + h / 6.0 * (k1c + 2.0 * (k2c + k3c) + k4c))
+    return MarginalPath(grid.times, *unpack(rows, d), kind="smoothed")

@@ -17,6 +17,7 @@ All conversions go through Cholesky factorizations and raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,6 +144,11 @@ def mean_params(m: GaussianMoments) -> tuple[np.ndarray, np.ndarray]:
     return m.mean.copy(), -0.5 * second
 
 
+@lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    return np.identity(d)
+
+
 def repair_psd(mean: np.ndarray, cov: np.ndarray, eps_psd: float = 1e-8,
                counter: RepairCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Clamp covariance eigenvalues below eps_psd, counting the repair.
@@ -150,9 +156,17 @@ def repair_psd(mean: np.ndarray, cov: np.ndarray, eps_psd: float = 1e-8,
     Input is symmetrized first; the mean passes through untouched.  Used
     after integration steps and quadrature moment matching, where small
     eigenvalue undershoots are roundoff-level artifacts rather than
-    genuine model failures.
+    genuine model failures.  A Cholesky factorization of cov - eps_psd I
+    accepts the common healthy case without an eigendecomposition; it
+    does not fail on NaN entries, which pass through uncounted for the
+    callers' divergence guards to reject.
     """
     cov = 0.5 * (cov + cov.T)
+    try:
+        np.linalg.cholesky(cov - eps_psd * _identity(len(cov)))
+        return mean, cov
+    except np.linalg.LinAlgError:
+        pass
     w, V = np.linalg.eigh(cov)
     if w[0] >= eps_psd:
         return mean, cov

@@ -113,7 +113,10 @@ class QuarticLoss:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "window", win)
 
-    def active(self, t: float) -> np.ndarray:
+    def active(self, t) -> np.ndarray:
+        """Per-dimension window flags at time t, (d,), or at times t (n,)
+        as rows, (n, d)."""
+        t = np.asarray(t, dtype=float)[..., None]
         return (self.window[:, 0] <= t) & (t <= self.window[:, 1])
 
 
@@ -226,44 +229,66 @@ def tilted_moments(model, y, cavity: GaussianCanonical, *,
 # continuous losses
 
 
-def expected_loss(loss, m: GaussianMoments, t: float) -> float:
-    """<U(x, t)> under N(mean, cov); zero when loss is None."""
+def _moment_arrays(m) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, cov) of one GaussianMoments, or the stacked means (n, d)
+    and covs (n, d, d) of a MarginalPath."""
+    if isinstance(m, GaussianMoments):
+        return m.mean, m.cov
+    return m.means, m.covs
+
+
+def expected_loss(loss, m, t):
+    """<U(x, t)> under N(mean, cov); zero when loss is None.
+
+    m is one GaussianMoments at time t, giving a float, or a MarginalPath
+    with its node times t, giving one value per node.
+    """
+    mean, cov = _moment_arrays(m)
     if loss is None:
-        return 0.0
-    if isinstance(loss, QuadraticLoss):
-        quad = 0.5 * float(np.trace(loss.A @ m.cov)
-                           + m.mean @ loss.A @ m.mean)
-        return quad - float(loss.c @ m.mean)
-    if isinstance(loss, QuarticLoss):
-        s = m.mean - loss.center
-        v = np.diag(m.cov)
+        u = np.zeros(mean.shape[:-1])
+    elif isinstance(loss, QuadraticLoss):
+        # E[x x^T] = cov + mean mean^T, and <x.A x> = tr(A E[x x^T])
+        second = (np.swapaxes(cov, -1, -2)
+                  + mean[..., :, None] * mean[..., None, :])
+        u = (0.5 * (loss.A * second).sum(axis=(-2, -1))
+             - (loss.c * mean).sum(axis=-1))
+    elif isinstance(loss, QuarticLoss):
+        s = mean - loss.center
+        v = cov.diagonal(0, -2, -1)
         per_dim = loss.weight * (s ** 4 + 6.0 * s ** 2 * v + 3.0 * v ** 2)
-        return float(per_dim[loss.active(t)].sum())
-    raise TypeError(f"unknown loss {type(loss).__name__}")
+        u = np.where(loss.active(t), per_dim, 0.0).sum(axis=-1)
+    else:
+        raise TypeError(f"unknown loss {type(loss).__name__}")
+    return float(u) if np.ndim(u) == 0 else u
 
 
-def continuous_site_update(loss, m: GaussianMoments, t: float
-                           ) -> GaussianCanonical:
+def continuous_site_update(loss, m, t):
     """Site lambda_t = -d<U>/dmu at the current marginal's mean parameters.
 
     With mu = (E[x], E[-x x^T / 2]) and G = d<U>/dcov, the chain rule
     gives lambda_J = 2 G and lambda_h = -d<U>/dmean + 2 G mean.  For the
-    quadratic loss this is the constant conjugate site (c, A).
+    quadratic loss this is the constant conjugate site (c, A).  m is one
+    GaussianMoments at time t, giving a GaussianCanonical, or a
+    MarginalPath with its node times t, giving the stacked (h, J) arrays.
     """
-    d = m.dim
+    mean, cov = _moment_arrays(m)
     if loss is None:
-        return GaussianCanonical(np.zeros(d), np.zeros((d, d)))
-    if isinstance(loss, QuadraticLoss):
-        return GaussianCanonical(loss.c.copy(), loss.A.copy())
-    if isinstance(loss, QuarticLoss):
+        h, J = np.zeros(mean.shape), np.zeros(cov.shape)
+    elif isinstance(loss, QuadraticLoss):
+        h = np.broadcast_to(loss.c, mean.shape).copy()
+        J = np.broadcast_to(loss.A, cov.shape).copy()
+    elif isinstance(loss, QuarticLoss):
         active = loss.active(t)
-        s = m.mean - loss.center
-        v = np.diag(m.cov)
+        s = mean - loss.center
+        v = cov.diagonal(0, -2, -1)
         grad_mean = loss.weight * (4.0 * s ** 3 + 12.0 * s * v)
         g_diag = loss.weight * (6.0 * s ** 2 + 6.0 * v)
         grad_mean = np.where(active, grad_mean, 0.0)
         g_diag = np.where(active, g_diag, 0.0)
-        lam_J = np.diag(2.0 * g_diag)
-        lam_h = -grad_mean + 2.0 * g_diag * m.mean
-        return GaussianCanonical(lam_h, lam_J)
-    raise TypeError(f"unknown loss {type(loss).__name__}")
+        d = mean.shape[-1]
+        J = np.zeros(cov.shape)
+        J.reshape(cov.shape[:-2] + (d * d,))[..., ::d + 1] = 2.0 * g_diag
+        h = -grad_mean + 2.0 * g_diag * mean
+    else:
+        raise TypeError(f"unknown loss {type(loss).__name__}")
+    return GaussianCanonical(h, J) if mean.ndim == 1 else (h, J)

@@ -358,6 +358,26 @@ seed: 99
         (tmp_path / "b" / "benchmark.csv").read_bytes()
 
 
+def test_benchmark_rows_do_not_depend_on_worker_count(tmp_path):
+    text = """\
+model: lv
+horizon: {t0: 0.0, t1: 4.0}
+grid: {n_steps: 100}
+init: {mean: [100.0, 100.0], cov: 100.0}
+x0: [100, 100]
+observations:
+  count: 4
+  model: {kind: log_normal, variance: 750.0}
+benchmark: {variances: [750.0], replicates: 2}
+seed: 7
+"""
+    cfg = load_config(_write(tmp_path, text))
+    serial = cmd_benchmark(cfg, out=tmp_path / "serial", workers=1)
+    pooled = cmd_benchmark(cfg, out=tmp_path / "pooled", workers=2)
+    assert pooled.rows == serial.rows
+    assert pooled.replicate_details == serial.replicate_details
+
+
 def test_benchmark_requires_jump_model(tmp_path):
     cfg = load_config(_write(tmp_path, LINEAR_YAML))
     with pytest.raises(ConfigError, match="jump"):

@@ -15,7 +15,9 @@ from epsde.closure import (
     closed_rhs,
     forward_rhs,
     gaussian_expectation,
+    pack,
     smoothing_rhs,
+    unpack,
 )
 from epsde.gaussian import GaussianMoments
 from epsde.processes import (
@@ -331,24 +333,40 @@ def test_forward_batch_rows_equal_single_points(spec):
     rng = _rng(808)
     means = rng.uniform(0.5, 2.0, (7, d))
     covs = np.stack([_random_spd(rng, d, 0.1) for _ in range(7)])
-    dms, dCs = rhs.forward_batch(means, covs)
+    dms, dCs = unpack(rhs.forward_batch(pack(means, covs)), d)
     assert dms.shape == (7, d) and dCs.shape == (7, d, d)
     for i in range(7):
-        dm, dC = rhs.forward(means[i], covs[i])
+        dm, dC = unpack(rhs.forward(pack(means[i], covs[i])), d)
         assert np.array_equal(dms[i], dm) and np.array_equal(dCs[i], dC)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_unpack_inverts_pack(d):
+    rng = _rng(909 + d)
+    mean = rng.standard_normal(d)
+    cov = _random_spd(rng, d)
+    cov = 0.5 * (cov + cov.T)
+    y = pack(mean, cov)
+    assert y.shape == (d + d * (d + 1) // 2,)
+    m2, c2 = unpack(y, d)
+    assert np.array_equal(m2, mean) and np.array_equal(c2, cov)
+    means, covs = np.stack([mean, -mean]), np.stack([cov, 2.0 * cov])
+    m2, c2 = unpack(pack(means, covs), d)
+    assert np.array_equal(m2, means) and np.array_equal(c2, covs)
 
 
 def test_forward_rhs_on_brownian_motion():
     # zero drift and constant diffusion: every forward monomial is the
     # constant 1, so the forward block holds no variable factor at all
     rhs = closed_rhs(linear_sde([[0.0]], [[1.0]]))
-    dm, dC = rhs.forward(np.array([0.7]), np.array([[2.0]]))
+    dm, dC = unpack(rhs.forward(pack(np.array([0.7]), np.array([[2.0]]))),
+                    1)
     assert np.array_equal(dm, [0.0]) and np.array_equal(dC, [[1.0]])
     means = np.array([[0.7], [-1.5], [3.0]])
     covs = np.array([[[2.0]], [[0.1]], [[5.0]]])
-    dms, dCs = rhs.forward_batch(means, covs)
+    dms, dCs = unpack(rhs.forward_batch(pack(means, covs)), 1)
     for i in range(3):
-        dm, dC = rhs.forward(means[i], covs[i])
+        dm, dC = unpack(rhs.forward(pack(means[i], covs[i])), 1)
         assert np.array_equal(dms[i], dm) and np.array_equal(dCs[i], dC)
     assert np.array_equal(dms, np.zeros((3, 1)))
     assert np.array_equal(dCs, np.ones((3, 1, 1)))

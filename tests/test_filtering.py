@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from _oracles import linear_gaussian_reference, ou_exact_moments
-from epsde.errors import DivergedMoments
+from epsde.closure import pack
+from epsde.errors import DivergedMoments, NonPositiveDefinite
 from epsde.filtering import (
     ForwardPassResult,
     MarginalPath,
@@ -21,7 +22,15 @@ from epsde.filtering import (
     backward_pass,
     forward_pass,
 )
-from epsde.gaussian import GaussianMoments, RepairCounter
+from epsde.gaussian import (
+    GaussianCanonical,
+    GaussianMoments,
+    RepairCounter,
+    add_site,
+    canonical_to_moments,
+    log_partition,
+    moments_to_canonical,
+)
 from epsde.processes import linear_sde
 
 A2 = np.array([[-1.0, 0.3], [-0.2, -1.4]])
@@ -226,6 +235,38 @@ def test_apply_canonical_site_roundtrip():
     assert lz1 + lz2 == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_apply_canonical_site_matches_composed_reference(d):
+    rng = np.random.Generator(np.random.Philox(key=55 + d))
+    for _ in range(5):
+        M = rng.normal(size=(d, d))
+        cov = M @ M.T + d * np.eye(d)
+        mean = rng.normal(0.0, 2.0, d)
+        scale = 0.7
+        # J may be indefinite; its negative shift is half the prior's
+        # least precision, so the posterior precision stays definite
+        S = rng.normal(size=(d, d))
+        floor = 0.5 / np.linalg.eigvalsh(cov)[-1] / scale
+        h, J = rng.normal(size=d), S @ S.T / d - floor * np.eye(d)
+        m1, c1, dlz = apply_canonical_site(mean, cov, h, J, scale)
+        prior = moments_to_canonical(GaussianMoments(mean, cov))
+        post = add_site(prior, GaussianCanonical(h, J), scale)
+        ref = canonical_to_moments(post)
+        np.testing.assert_allclose(m1, ref.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(c1, ref.cov, rtol=1e-12, atol=1e-12)
+        assert dlz == pytest.approx(log_partition(post)
+                                    - log_partition(prior), rel=1e-12,
+                                    abs=1e-12)
+
+
+def test_apply_canonical_site_rejects_indefinite_posterior():
+    mean, cov = np.zeros(2), np.eye(2)
+    with pytest.raises(NonPositiveDefinite) as info:
+        apply_canonical_site(mean, cov, np.zeros(2), np.diag([-2.0, 0.0]),
+                             time_index=4)
+    assert info.value.time_index == 4
+
+
 def test_forward_diverges_on_explosive_drift():
     spec = linear_sde(np.array([[5.0]]), np.array([[0.1]]))
     grid = TimeGrid(0.0, 8.0, 200)
@@ -240,11 +281,11 @@ def test_forward_diverges_on_explosive_drift():
 def test_divergence_guard_rejects_non_finite_and_huge_entries(where, bad):
     mean = np.array([1.0, -2.0])
     cov = np.array([[1e12, 0.5], [0.5, 2.0]])   # at the bound: accepted
-    _check_finite(mean, cov, 7, 1e12)
+    _check_finite(pack(mean, cov), 7, 1e12)
     target = mean if where == "mean" else cov
     target.flat[1] = bad
     with pytest.raises(DivergedMoments) as info:
-        _check_finite(mean, cov, 7, 1e12)
+        _check_finite(pack(mean, cov), 7, 1e12)
     assert info.value.time_index == 7
 
 

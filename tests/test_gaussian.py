@@ -178,6 +178,22 @@ def test_repair_psd_clamps_negative_eigenvalue():
     assert c2[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_repair_psd_accept_test_and_clamp_at_the_threshold():
+    eps = 1e-8
+    R = np.array([[0.6, -0.8], [0.8, 0.6]])   # a rotation
+    counter = RepairCounter()
+    healthy = R @ np.diag([2.0 * eps, 3.0]) @ R.T
+    healthy = 0.5 * (healthy + healthy.T)
+    _, c2 = repair_psd(np.zeros(2), healthy, eps, counter)
+    assert counter.count == 0 and np.array_equal(c2, healthy)
+    sick = R @ np.diag([-1e-6, 3.0]) @ R.T
+    _, c2 = repair_psd(np.zeros(2), sick, eps, counter)
+    assert counter.count == 1
+    w = np.linalg.eigvalsh(c2)
+    assert w[0] == pytest.approx(eps, rel=1e-6)
+    assert w[1] == pytest.approx(3.0, rel=1e-12)
+
+
 def test_repair_psd_symmetrizes():
     cov = np.array([[1.0, 0.2], [0.1, 1.0]])
     _, c2 = repair_psd(np.zeros(2), cov, 1e-8)

@@ -14,6 +14,7 @@ from scipy.stats import lognorm, multivariate_normal
 
 from epsde.closure import gaussian_expectation
 from epsde.errors import ImproperCavity, QuadratureUnderflow
+from epsde.filtering import MarginalPath
 from epsde.gaussian import (
     GaussianCanonical,
     GaussianMoments,
@@ -293,6 +294,32 @@ def test_continuous_site_is_loss_gradient(loss, g):
     np.testing.assert_allclose(site.J, 2.0 * grad_C, rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(site.h, -grad_m + site.J @ g.mean,
                                rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("loss", [
+    QuadraticLoss(np.array([[2.0, 0.5], [0.5, 1.5]]), np.array([0.7, -1.2])),
+    # the window edges fall on nodes 2 and 6 of the grid below; the
+    # second dimension's window covers no node at all
+    QuarticLoss([0.02, 0.5], [5.0, -1.0], [[1.0, 3.0], [7.5, 7.8]]),
+], ids=["quadratic", "quartic"])
+def test_stacked_loss_equals_per_node(loss):
+    rng = np.random.Generator(np.random.Philox(key=31))
+    times = np.linspace(0.0, 4.0, 9)
+    means = rng.normal(0.0, 3.0, (9, 2))
+    M = rng.normal(size=(9, 2, 2))
+    covs = M @ M.transpose(0, 2, 1) + np.eye(2)
+    path = MarginalPath(times, means, covs)
+    h, J = continuous_site_update(loss, path, times)
+    u = expected_loss(loss, path, times)
+    assert h.shape == (9, 2) and J.shape == (9, 2, 2) and u.shape == (9,)
+    for k, t in enumerate(times):
+        site = continuous_site_update(loss, path.node(k), t)
+        assert np.array_equal(h[k], site.h) and np.array_equal(J[k], site.J)
+        assert u[k] == expected_loss(loss, path.node(k), t)
+    if isinstance(loss, QuarticLoss):
+        # both sides of each window edge are exercised
+        assert (J[:, 0, 0] == 0.0).any() and (J[:, 0, 0] > 0.0).any()
+        assert (u == 0.0).any() and (u > 0.0).any()
 
 
 def test_zero_loss_site_and_expectation():

@@ -3,7 +3,8 @@
 The package approximates smoothed posterior marginals of partially
 observed stochastic processes by expectation propagation in continuous
 time, with an assumed-density filter as the single-sweep baseline and an
-exact jump-process simulator for ground truth.
+exact jump-process simulator for ground truth.  Building blocks beyond
+the names exported here stay importable from their modules.
 """
 
 from .errors import (
@@ -17,55 +18,25 @@ from .errors import (
     NumericalError,
     QuadratureUnderflow,
 )
-from .gaussian import (
-    GaussianCanonical,
-    GaussianMoments,
-    add_site,
-    canonical_to_moments,
-    log_partition,
-    mean_params,
-    moments_to_canonical,
-    repair_psd,
-)
+from .gaussian import GaussianMoments
 from .processes import (
     MjpSpec,
     PolynomialMap,
     SdeSpec,
     cle_from_mjp,
-    evaluate_polynomial,
     linear_sde,
     lotka_volterra,
 )
-from .closure import forward_rhs, gaussian_expectation, smoothing_rhs
 from .likelihoods import (
     GaussianObs,
     LogNormalObs,
     Observation,
     QuadraticLoss,
     QuarticLoss,
-    continuous_site_update,
-    expected_loss,
-    tilted_moments,
 )
-from .filtering import (
-    ForwardPassResult,
-    MarginalPath,
-    SiteSet,
-    TimeGrid,
-    backward_pass,
-    forward_pass,
-)
-from .simulate import (
-    RNG_ALGORITHM,
-    DiffusionTrajectory,
-    JumpTrajectory,
-    euler_maruyama,
-    euler_maruyama_ensemble,
-    gillespie,
-    gillespie_ensemble,
-    sample_observations,
-)
-from .engine import EpConfig, EpResult, free_energy, run_adf, run_ep
+from .filtering import MarginalPath, TimeGrid
+from .simulate import euler_maruyama, gillespie, sample_observations
+from .engine import EpConfig, EpResult, run_adf, run_ep
 from .cli import (
     BenchmarkReport,
     ExperimentConfig,
@@ -86,20 +57,13 @@ __all__ = [
     "ConfigError", "DivergedMoments", "DivergedPath", "ImproperCavity",
     "NegativeRate", "NonPositiveDefinite", "NotConverged", "NumericalError",
     "QuadratureUnderflow",
-    "GaussianCanonical", "GaussianMoments", "add_site", "canonical_to_moments",
-    "log_partition", "mean_params", "moments_to_canonical", "repair_psd",
-    "MjpSpec", "PolynomialMap", "SdeSpec", "cle_from_mjp",
-    "evaluate_polynomial", "linear_sde", "lotka_volterra",
-    "forward_rhs", "gaussian_expectation", "smoothing_rhs",
+    "MjpSpec", "PolynomialMap", "SdeSpec", "cle_from_mjp", "linear_sde",
+    "lotka_volterra",
+    "GaussianMoments",
     "GaussianObs", "LogNormalObs", "Observation", "QuadraticLoss",
-    "QuarticLoss", "continuous_site_update", "expected_loss",
-    "tilted_moments",
-    "ForwardPassResult", "MarginalPath", "SiteSet", "TimeGrid",
-    "backward_pass", "forward_pass",
-    "RNG_ALGORITHM", "DiffusionTrajectory", "JumpTrajectory",
-    "euler_maruyama", "euler_maruyama_ensemble", "gillespie",
-    "gillespie_ensemble", "sample_observations",
-    "EpConfig", "EpResult", "free_energy", "run_adf", "run_ep",
+    "QuarticLoss",
+    "MarginalPath", "TimeGrid", "EpConfig", "EpResult", "run_adf", "run_ep",
+    "euler_maruyama", "gillespie", "sample_observations",
     "BenchmarkReport", "ExperimentConfig", "cmd_benchmark", "cmd_infer",
     "cmd_simulate", "load_config", "main", "read_marginals",
     "read_observations", "read_trajectory", "write_marginals",

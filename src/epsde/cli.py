@@ -20,7 +20,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -302,8 +302,8 @@ def load_config(path) -> ExperimentConfig:
 
     ep_node = raw.get("ep") or {}
     _expect(ep_node, "ep")
-    known = {"damping", "tolerance", "max_sweeps", "flat_init_scale",
-             "eps_psd", "quad_order", "init_mode"}
+    known = {"damping", "tolerance", "max_sweeps", "eps_psd", "quad_order",
+             "init_mode"}
     unknown = set(ep_node) - known
     if unknown:
         raise ConfigError(f"ep: unknown keys {sorted(unknown)}")
@@ -359,8 +359,16 @@ def read_observations(path) -> list[Observation]:
         rows = list(csv.reader(fh))
     if not rows or not rows[0] or rows[0][0] != "t":
         raise ConfigError(f"{path}: expected header starting with 't'")
-    return [Observation(float(r[0]), np.array([float(v) for v in r[1:]]))
-            for r in rows[1:]]
+    obs = []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            values = np.array([float(v) for v in row])
+        except ValueError:
+            values = np.array([np.nan])
+        if not values.size or not np.isfinite(values).all():
+            raise ConfigError(f"{path}, line {line}: expected finite numbers")
+        obs.append(Observation(values[0], values[1:]))
+    return obs
 
 
 def write_trajectory(path, times, states) -> None:
@@ -428,16 +436,14 @@ def cmd_simulate(cfg: ExperimentConfig, out=None, seed=None) -> dict:
     if cfg.mjp is not None:
         traj = gillespie(cfg.mjp, cfg.x0.astype(np.int64), cfg.t0, cfg.t1,
                          seed=seed)
-        times, states = traj.times, traj.states
     else:
         traj = euler_maruyama(cfg.sde, cfg.x0, cfg.t0, cfg.t1,
                               n_steps=cfg.n_steps, seed=seed)
-        times, states = traj.times, traj.states
     obs = sample_observations(traj, cfg.obs_times, cfg.obs_model,
                               seed=seed + 1)
     traj_path = out_dir / "trajectory.csv"
     obs_path = out_dir / "observations.csv"
-    write_trajectory(traj_path, times, states)
+    write_trajectory(traj_path, traj.times, traj.states)
     write_observations(obs_path, obs, cfg.sde.dim)
     return {"trajectory": str(traj_path), "observations": str(obs_path)}
 
@@ -519,23 +525,20 @@ def _rms(err: np.ndarray) -> float:
 
 
 def _replicate_job(args) -> dict:
-    (mjp, sde, t0, t1, n_steps, init, x0, obs_times, variance, ep_cfg,
-     seed_traj, seed_obs) = args
+    cfg, variance, seed_traj, seed_obs = args
     out = {"variance": variance, "seed": seed_traj, "error": None}
     try:
-        traj = gillespie(mjp, x0.astype(np.int64), t0, t1, seed=seed_traj)
+        traj = gillespie(cfg.mjp, cfg.x0.astype(np.int64), cfg.t0, cfg.t1,
+                         seed=seed_traj)
         model = LogNormalObs(variance)
-        obs = sample_observations(traj, obs_times, model, seed=seed_obs)
-        grid = TimeGrid(t0, t1, n_steps)
-        nodes = np.array([grid.snap_index(t) for t in obs_times])
-        truth_obs = traj.state_at(obs_times).astype(float)
+        obs = sample_observations(traj, cfg.obs_times, model, seed=seed_obs)
+        grid = TimeGrid(cfg.t0, cfg.t1, cfg.n_steps)
+        nodes = np.array([grid.snap_index(t) for t in cfg.obs_times])
+        truth_obs = traj.state_at(cfg.obs_times).astype(float)
         truth_path = traj.state_at(grid.times).astype(float)
         for method in ("adf-s", "ep"):
-            if method == "ep":
-                res = run_ep(sde, obs, model, None, init, grid, ep_cfg)
-            else:
-                res = run_adf(sde, obs, model, None, init, grid,
-                              smoothing=True, cfg=ep_cfg)
+            res = _run_method(replace(cfg, method=method, obs_model=model,
+                                      loss=None), obs, grid)
             out[method] = {
                 "rmse_observations": _rms(res.smoothed.means[nodes]
                                           - truth_obs),
@@ -564,9 +567,7 @@ def cmd_benchmark(cfg: ExperimentConfig, out=None, workers: int = 1
     for vi, variance in enumerate(cfg.variances):
         for rep in range(cfg.replicates):
             base = cfg.seed + 2 * (vi * cfg.replicates + rep)
-            jobs.append((cfg.mjp, cfg.sde, cfg.t0, cfg.t1, cfg.n_steps,
-                         cfg.init, cfg.x0, cfg.obs_times, variance, cfg.ep,
-                         base, base + 1))
+            jobs.append((cfg, variance, base, base + 1))
     if workers > 1:
         # imported only here, so single-worker runs skip its start-up
         # time and memory

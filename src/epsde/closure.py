@@ -50,14 +50,13 @@ from math import comb
 
 import numpy as np
 
-from .gaussian import GaussianMoments, _chol
 from .processes import PolynomialMap, SdeSpec
 
 MAX_DEGREE = 8
 _ONE = np.ones(1)
 
 # ---------------------------------------------------------------------------
-# Wick pairings and numeric expectations
+# Wick pairings
 
 
 @lru_cache(maxsize=None)
@@ -75,50 +74,6 @@ def _pairings(idx: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
         for sub in _pairings(remainder):
             out.append((pair,) + sub)
     return tuple(out)
-
-
-def _central_moment(cov: np.ndarray, beta: tuple[int, ...]) -> float:
-    """E[prod z_i^beta_i] for z ~ N(0, cov) by direct pairing recursion."""
-    idx: list[int] = []
-    for i, b in enumerate(beta):
-        idx.extend([i] * b)
-    if len(idx) % 2 == 1:
-        return 0.0
-    if not idx:
-        return 1.0
-
-    def rec(rest: tuple[int, ...]) -> float:
-        if not rest:
-            return 1.0
-        first, tail = rest[0], rest[1:]
-        total = 0.0
-        for j in range(len(tail)):
-            total += cov[first, tail[j]] * rec(tail[:j] + tail[j + 1:])
-        return total
-
-    return rec(tuple(idx))
-
-
-def gaussian_expectation(p: PolynomialMap, m: GaussianMoments) -> float:
-    """E[p(x)] for x ~ N(mean, cov), exact for total degree <= 8."""
-    if p.degree > MAX_DEGREE:
-        raise ValueError(f"polynomial degree {p.degree} exceeds the "
-                         f"supported maximum of {MAX_DEGREE}")
-    mean, cov = m.mean, m.cov
-    total = 0.0
-    for c, alpha in p.terms():
-        acc = 0.0
-        for beta in product(*(range(a + 1) for a in alpha)):
-            w = 1.0
-            for i, (a, b) in enumerate(zip(alpha, beta)):
-                w *= comb(a, b) * mean[i] ** (a - b)
-            if w == 0.0:
-                continue
-            cm = _central_moment(cov, beta)
-            if cm != 0.0:
-                acc += w * cm
-        total += c * acc
-    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +390,3 @@ def closed_rhs(spec: SdeSpec) -> ClosedOdeRhs:
     """Build (or fetch the cached) compiled moment equations for a spec."""
     return ClosedOdeRhs(spec)
 
-
-def forward_rhs(spec: SdeSpec, m: GaussianMoments
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of (mean, cov) for the filtering-direction flow."""
-    return unpack(closed_rhs(spec).forward(pack(m.mean, m.cov)), spec.dim)
-
-
-def smoothing_rhs(spec: SdeSpec, m_s: GaussianMoments, m_fw: GaussianMoments
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative of the smoothed (mean, cov) given forward reference."""
-    L = _chol(m_fw.cov, "forward covariance")
-    Linv = np.linalg.inv(L)
-    prec = Linv.T @ Linv
-    dy = closed_rhs(spec).smoothing(pack(m_s.mean, m_s.cov),
-                                    smoothing_reference(m_fw.mean, prec))
-    return unpack(dy, spec.dim)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +58,6 @@ from .filtering import apply_canonical_site  # noqa: F401
 from .gaussian import repair_psd  # noqa: F401
 from .likelihoods import (
     GaussianObs,
-    LogNormalObs,
     Observation,
     QuadraticLoss,
     QuarticLoss,
@@ -72,38 +72,34 @@ from .processes import SdeSpec
 class EpConfig:
     """Knobs for the sweep loop and the shared numerics.
 
-    damping is the step size applied to every site update; tolerance is
-    the convergence threshold on the largest applied parameter change;
-    flat_init_scale is the precision of the flat base measure used to
-    project likelihoods into initial sites.  init_mode "auto" warm
-    starts conjugate factors only, "project" also moment matches
-    non-conjugate factors against the flat base, and "zero" starts
-    every site flat.
+    damping is the step size of every site update and tolerance the
+    convergence threshold on the largest applied parameter change.
+    init_mode "auto" warm starts Gaussian observations and the loss (see
+    _init_sites); "zero" starts every site at zero.
     """
 
     damping: float = 0.5
     tolerance: float = 0.01
     max_sweeps: int = 50
-    flat_init_scale: float = 1e-6
     eps_psd: float = 1e-8
     quad_order: int = 32
     init_mode: str = "auto"
     diverge_threshold: float = 1e12
 
     def __post_init__(self):
+        # NaN fails every comparison below, so it is rejected too
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if self.flat_init_scale <= 0.0:
-            raise ValueError("flat_init_scale must be positive")
-        if self.init_mode not in ("auto", "project", "zero"):
+        for name in ("tolerance", "eps_psd", "diverge_threshold"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("max_sweeps", "quad_order"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or value < 1):
+                raise ValueError(f"{name} must be an integer of at least 1")
+        if self.init_mode not in ("auto", "zero"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        # NaN fails the comparison too
-        if not 0.0 < self.diverge_threshold < np.inf:
-            raise ValueError("diverge_threshold must be finite and positive")
 
 
 @dataclass(eq=False)
@@ -146,8 +142,6 @@ def _snap_observations(obs: list[Observation], grid: TimeGrid, dim: int
     return idx, values
 
 
-# moment matching exp(-a s^4) against a flat measure: the matched
-# variance is Gamma(3/4) / (Gamma(1/4) sqrt(a))
 # A cavity that keeps almost none of the marginal curvature behaves
 # like an improper one: the quadrature integrates over the huge implied
 # covariance, meets the likelihood at a handful of isolated nodes, and
@@ -163,20 +157,36 @@ def _cavity_degenerate(cav_J: np.ndarray, marginal_J: np.ndarray) -> bool:
                 < _CAVITY_EIG_FLOOR * np.linalg.eigvalsh(marginal_J)[0])
 
 
+def _match_site(obs_model, y: np.ndarray, marginal: GaussianMoments,
+                h: np.ndarray, J: np.ndarray, cfg: EpConfig, counter):
+    """(cavity, tilted moments, tilted log partition) of one observation
+    site at a marginal, or None when the site cannot be matched there: a
+    degenerate or improper cavity, or quadrature underflow."""
+    nat = moments_to_canonical(marginal)
+    cavity = GaussianCanonical(nat.h - h, nat.J - J)
+    if (not isinstance(obs_model, GaussianObs)
+            and _cavity_degenerate(cavity.J, nat.J)):
+        return None
+    try:
+        tilted, log_z = tilted_moments(
+            obs_model, y, cavity, quad_order=cfg.quad_order,
+            eps_psd=cfg.eps_psd, counter=counter)
+    except (ImproperCavity, QuadratureUnderflow):
+        return None
+    return cavity, tilted, log_z
+
+
+# moment matching exp(-a s^4) against a flat measure: the matched
+# variance is Gamma(3/4) / (Gamma(1/4) sqrt(a))
 _QUARTIC_PRECISION = math.gamma(0.25) / math.gamma(0.75)
 
 
 def _init_sites(obs_model, values: np.ndarray, loss, grid: TimeGrid,
                 dim: int, idx: np.ndarray, cfg: EpConfig) -> SiteSet:
-    """Project each likelihood factor against a flat base measure.
-
-    Conjugate factors get their exact canonical parameters.  Log-normal
-    factors start at zero by default: their projection warm start (mode
-    "project") moment matches each factor by quadrature over a
-    deliberately flat Gaussian base that is then subtracted back out,
-    but the strong initial sites destabilise sparse schedules, so the
-    flat fallback is the default.  A factor whose projection fails
-    starts at zero in every mode.
+    """Sites at the start of the sweeps: Gaussian observations and the
+    quadratic loss at their exact canonical parameters, the quartic loss
+    at its moment match against a flat measure, every other site at
+    zero.  init_mode "zero" starts every site at zero.
     """
     sites = SiteSet.zeros(grid, dim, idx)
     if cfg.init_mode == "zero":
@@ -185,33 +195,6 @@ def _init_sites(obs_model, values: np.ndarray, loss, grid: TimeGrid,
         r_inv = np.linalg.inv(obs_model.R)
         sites.obs_h[:] = values @ r_inv.T
         sites.obs_J[:] = r_inv
-    elif isinstance(obs_model, LogNormalObs) and cfg.init_mode == "project":
-        cov_cap = 1.0 / cfg.flat_init_scale
-        for s, y in enumerate(values):
-            # start wide against both the noise scale and the observed
-            # magnitude, then refit the base to a flat multiple of the
-            # matched moments so the quadrature resolves the factor's
-            # bulk (the first pass can waste most nodes on x <= 0)
-            mean = y.astype(float)
-            base_cov = np.minimum(25.0 * obs_model.variance + y ** 2,
-                                  cov_cap)
-            for _ in range(3):
-                base = moments_to_canonical(
-                    GaussianMoments(mean, np.diag(base_cov)))
-                try:
-                    tilted, _ = tilted_moments(
-                        obs_model, y, base, quad_order=cfg.quad_order,
-                        eps_psd=cfg.eps_psd)
-                except (ImproperCavity, QuadratureUnderflow):
-                    break
-                post = moments_to_canonical(tilted)
-                sites.obs_h[s] = post.h - base.h
-                sites.obs_J[s] = post.J - base.J
-                mean = tilted.mean
-                refit = np.minimum(25.0 * np.diag(tilted.cov), cov_cap)
-                if np.all(refit > 0.2 * base_cov):
-                    break
-                base_cov = refit
     if isinstance(loss, QuadraticLoss):
         sites.cont_h[:] = loss.c
         sites.cont_J[:] = loss.A
@@ -269,23 +252,16 @@ def _final_log_partitions(obs_model, values, idx, sites, smoothed, cfg,
                           counter):
     """Tilted log partitions at the cavities of the current smoothed path.
 
-    Returns None when any cavity is improper or underflows, in which
-    case the free energy cannot be evaluated at this state.
+    Returns None when any site cannot be matched, in which case the free
+    energy cannot be evaluated at this state.
     """
-    quad_guard = not isinstance(obs_model, GaussianObs)
     tilted = np.empty(len(idx))
     for s, k in enumerate(idx):
-        nat = moments_to_canonical(smoothed.node(int(k)))
-        cavity = GaussianCanonical(nat.h - sites.obs_h[s],
-                                   nat.J - sites.obs_J[s])
-        if quad_guard and _cavity_degenerate(cavity.J, nat.J):
+        matched = _match_site(obs_model, values[s], smoothed.node(int(k)),
+                              sites.obs_h[s], sites.obs_J[s], cfg, counter)
+        if matched is None:
             return None
-        try:
-            _, tilted[s] = tilted_moments(
-                obs_model, values[s], cavity, quad_order=cfg.quad_order,
-                eps_psd=cfg.eps_psd, counter=counter)
-        except (ImproperCavity, QuadratureUnderflow):
-            return None
+        tilted[s] = matched[2]
     return tilted
 
 
@@ -304,7 +280,6 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     sites = _init_sites(obs_model, values, loss, grid, dim, idx, cfg)
     counter = RepairCounter()
     times = grid.times
-    quad_guard = not isinstance(obs_model, GaussianObs)
 
     skipped = 0
     obs_updated = np.zeros(len(idx), dtype=bool)
@@ -324,31 +299,20 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             prop_obs_h = sites.obs_h.copy()
             prop_obs_J = sites.obs_J.copy()
             for s, k in enumerate(idx):
-                nat = moments_to_canonical(smoothed.node(int(k)))
-                cavity = GaussianCanonical(nat.h - sites.obs_h[s],
-                                           nat.J - sites.obs_J[s])
-                # a site whose cavity is degenerate or whose quadrature
-                # fails cannot be moment matched this sweep; a site that
-                # has been matched before keeps its last good value,
-                # while one still carrying pure warm-start residue is
-                # walked back toward zero by the damped update
-                if quad_guard and _cavity_degenerate(cavity.J, nat.J):
+                matched = _match_site(obs_model, values[s],
+                                      smoothed.node(int(k)), sites.obs_h[s],
+                                      sites.obs_J[s], cfg, counter)
+                # a site that cannot be matched this sweep keeps its last
+                # good value if it has been matched before, while one
+                # still carrying pure warm-start residue is walked back
+                # toward zero by the damped update
+                if matched is None:
                     skipped += 1
                     if not obs_updated[s]:
                         prop_obs_h[s] = 0.0
                         prop_obs_J[s] = 0.0
                     continue
-                try:
-                    tm, _ = tilted_moments(
-                        obs_model, values[s], cavity,
-                        quad_order=cfg.quad_order, eps_psd=cfg.eps_psd,
-                        counter=counter)
-                except (ImproperCavity, QuadratureUnderflow):
-                    skipped += 1
-                    if not obs_updated[s]:
-                        prop_obs_h[s] = 0.0
-                        prop_obs_J[s] = 0.0
-                    continue
+                cavity, tm, _ = matched
                 post = moments_to_canonical(tm)
                 prop_obs_h[s] = post.h - cavity.h
                 prop_obs_J[s] = post.J - cavity.J

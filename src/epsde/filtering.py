@@ -99,11 +99,6 @@ class SiteSet:
                    np.zeros((grid.n_steps + 1, dim)),
                    np.zeros((grid.n_steps + 1, dim, dim)))
 
-    def copy(self) -> "SiteSet":
-        return SiteSet(self.obs_idx.copy(), self.obs_h.copy(),
-                       self.obs_J.copy(), self.cont_h.copy(),
-                       self.cont_J.copy())
-
 
 @dataclass(frozen=True, eq=False)
 class MarginalPath:
@@ -128,7 +123,6 @@ class ForwardPassResult:
     post_means: np.ndarray   # after all sites at the node
     post_covs: np.ndarray
     log_norm: float          # accumulated site log-normalizer increments
-    psd_repairs: int = 0     # eigenvalue clamps applied during the pass
 
     @property
     def filtered(self) -> MarginalPath:
@@ -218,7 +212,6 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
     dt = grid.dt
     if counter is None:
         counter = RepairCounter()
-    repairs_before = counter.count
     obs_slot = {int(i): k for k, i in enumerate(sites.obs_idx)}
     cont_on = (sites.cont_h.any(axis=1)
                | sites.cont_J.any(axis=(1, 2))).tolist()
@@ -250,8 +243,7 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
         _check_finite(y, k, diverge_threshold)
 
     return ForwardPassResult(grid, *unpack(flow, d), *unpack(pre, d),
-                             *unpack(post, d), log_norm,
-                             counter.count - repairs_before)
+                             *unpack(post, d), log_norm)
 
 
 def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,

@@ -16,7 +16,7 @@ All conversions go through Cholesky factorizations and raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

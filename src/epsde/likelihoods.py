@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ImproperCavity, NonPositiveDefinite, QuadratureUnderflow
 from .gaussian import (
+    LOG_2PI,
     GaussianCanonical,
     GaussianMoments,
     RepairCounter,
@@ -32,8 +33,6 @@ from .gaussian import (
     log_partition,
     repair_psd,
 )
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,11 +144,6 @@ def log_normal_logpdf(y: np.ndarray, x: np.ndarray, model: LogNormalObs
     comp = -np.log(y) - 0.5 * np.log(s2) - 0.5 * LOG_2PI - 0.5 * z ** 2 / s2
     out = comp.sum(axis=-1)
     return np.where(valid, out, -np.inf)
-
-
-def log_normal_density(y: np.ndarray, x: np.ndarray, model: LogNormalObs
-                       ) -> np.ndarray:
-    return np.exp(log_normal_logpdf(y, x, model))
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,6 @@ class PolynomialMap:
     def add(self, other: "PolynomialMap") -> "PolynomialMap":
         return PolynomialMap.from_terms(self.dim, self.terms() + other.terms())
 
-    def scaled(self, factor: float) -> "PolynomialMap":
-        return PolynomialMap.from_terms(
-            self.dim, [(factor * c, e) for c, e in self.terms()])
-
     def mul_monomial(self, var: int) -> "PolynomialMap":
         """Multiply by the variable x_var."""
         expo = self.expo.copy()

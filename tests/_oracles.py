@@ -2,14 +2,21 @@
 
 Everything here is deliberately written against different primitives than
 the package (Gauss-Jordan elimination instead of Cholesky, matrix
-exponentials and discrete-time Kalman recursions instead of moment ODEs)
-so that agreement is meaningful.
+exponentials and discrete-time Kalman recursions instead of moment ODEs,
+numeric Isserlis recursions instead of compiled symbolic expansions) so
+that agreement is meaningful.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from math import comb
+
 import numpy as np
 from scipy.linalg import expm
+
+# the total polynomial degree the package's closure supports
+MAX_DEGREE = 8
 
 
 def gauss_jordan_inverse(mat: np.ndarray) -> np.ndarray:
@@ -141,3 +148,51 @@ def linear_gaussian_reference(A, b, mean0, cov0, t0, t1, n_steps,
         "smoothed_means": sm, "smoothed_covs": sP,
         "loglik": loglik,
     }
+
+
+def _central_moment(cov: np.ndarray, beta: tuple[int, ...]) -> float:
+    """E[prod z_i^beta_i] for z ~ N(0, cov) by direct pairing recursion."""
+    idx: list[int] = []
+    for i, b in enumerate(beta):
+        idx.extend([i] * b)
+    if len(idx) % 2 == 1:
+        return 0.0
+    if not idx:
+        return 1.0
+
+    def rec(rest: tuple[int, ...]) -> float:
+        if not rest:
+            return 1.0
+        first, tail = rest[0], rest[1:]
+        total = 0.0
+        for j in range(len(tail)):
+            total += cov[first, tail[j]] * rec(tail[:j] + tail[j + 1:])
+        return total
+
+    return rec(tuple(idx))
+
+
+def gaussian_expectation(p, m) -> float:
+    """E[p(x)] for x ~ N(mean, cov), exact for total degree <= 8.
+
+    p is any polynomial with .degree and .terms() -> [(coeff, exponents)];
+    m any Gaussian with .mean and .cov.
+    """
+    if p.degree > MAX_DEGREE:
+        raise ValueError(f"polynomial degree {p.degree} exceeds the "
+                         f"supported maximum of {MAX_DEGREE}")
+    mean, cov = m.mean, m.cov
+    total = 0.0
+    for c, alpha in p.terms():
+        acc = 0.0
+        for beta in product(*(range(a + 1) for a in alpha)):
+            w = 1.0
+            for i, (a, b) in enumerate(zip(alpha, beta)):
+                w *= comb(a, b) * mean[i] ** (a - b)
+            if w == 0.0:
+                continue
+            cm = _central_moment(cov, beta)
+            if cm != 0.0:
+                acc += w * cm
+        total += c * acc
+    return float(total)

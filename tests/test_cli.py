@@ -95,6 +95,16 @@ def test_config_errors_name_the_key_path(tmp_path):
          "observations.model.variance"),
         ("ep: {dampening: 0.5}", "ep"),
         ("ep: {damping: 1.5}", "ep"),
+        ("ep: {max_sweeps: 2.5}", "ep"),
+        ("ep: {max_sweeps: true}", "ep"),
+        ("ep: {quad_order: 2.5}", "ep"),
+        ("ep: {quad_order: 0}", "ep"),
+        ("ep: {tolerance: .nan}", "ep"),
+        ("ep: {eps_psd: .nan}", "ep"),
+        ("ep: {eps_psd: 0.0}", "ep"),
+        ("ep: {eps_psd: -1.0e-8}", "ep"),
+        ("ep: {init_mode: project}", "ep"),
+        ("ep: {flat_init_scale: 1.0e-6}", "ep"),
         ("benchmark: {variances: [0.0]}", "benchmark.variances"),
         ("benchmark: {replicates: 0}", "benchmark.replicates"),
         ("loss: {kind: cubic}", "loss.kind"),
@@ -285,6 +295,19 @@ def test_infer_missing_observation_file_is_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "absent.csv" in err and "not found" in err
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
+def test_infer_malformed_observation_cell_is_exit_2(tmp_path, capsys, cell):
+    cfg_path = _write(tmp_path, LV_SMALL_YAML)
+    obs_path = tmp_path / "bad.csv"
+    obs_path.write_text(f"t,y1,y2\n1.0,90.0,110.0\n2.0,{cell},95.0\n")
+    code = main(["infer", "--config", str(cfg_path),
+                 "--observations", str(obs_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and "line 3" in err
 
 
 def test_infer_require_convergence_is_exit_4(tmp_path, capsys):

@@ -13,10 +13,8 @@ import pytest
 from epsde.closure import (
     MAX_DEGREE,
     closed_rhs,
-    forward_rhs,
-    gaussian_expectation,
     pack,
-    smoothing_rhs,
+    smoothing_reference,
     unpack,
 )
 from epsde.gaussian import GaussianMoments
@@ -27,6 +25,8 @@ from epsde.processes import (
     linear_sde,
     lotka_volterra,
 )
+
+from _oracles import gaussian_expectation
 
 # a stable d=6 OU process with a dense diffusion matrix
 D6 = 6
@@ -45,6 +45,21 @@ def _random_spd(rng, d, scale=1.0):
 
 def _mono(d, expo, coeff=1.0):
     return PolynomialMap.from_terms(d, [(coeff, expo)])
+
+
+def forward_rhs(spec, m):
+    """(dmean, dcov) of the compiled forward equations at moments m."""
+    return unpack(closed_rhs(spec).forward(pack(m.mean, m.cov)), spec.dim)
+
+
+def smoothing_rhs(spec, m_s, m_fw):
+    """(dmean, dcov) of the compiled smoothing equations at moments m_s,
+    against the forward reference moments m_fw."""
+    Linv = np.linalg.inv(np.linalg.cholesky(m_fw.cov))
+    prec = Linv.T @ Linv
+    dy = closed_rhs(spec).smoothing(pack(m_s.mean, m_s.cov),
+                                    smoothing_reference(m_fw.mean, prec))
+    return unpack(dy, spec.dim)
 
 
 def test_expectation_constant_and_linear():
@@ -123,6 +138,17 @@ def test_expectation_degree_cap():
     too_high = _mono(1, [MAX_DEGREE + 1])
     with pytest.raises(ValueError):
         gaussian_expectation(too_high, g)
+
+
+def test_closed_rhs_degree_cap():
+    # the forward equation's <a x> term has degree deg(a) + 1
+    def spec(deg):
+        return SdeSpec(1, (_mono(1, [deg]),),
+                       ((PolynomialMap.constant(1, 1.0),),))
+
+    closed_rhs(spec(MAX_DEGREE - 1))
+    with pytest.raises(ValueError, match="degree"):
+        closed_rhs(spec(MAX_DEGREE))
 
 
 def test_forward_rhs_exact_on_linear_sde():

@@ -196,19 +196,11 @@ def test_ep_skips_untractable_site_and_flags_evidence():
     prior = GaussianMoments(np.array([-50.0]), np.array([[1.0]]))
     grid = TimeGrid(0.0, 2.0, 100)
     obs = [Observation(1.0, np.array([100.0]))]
-    res = run_ep(spec, obs, LogNormalObs(750.0), None, prior, grid,
-                 EpConfig(init_mode="project"))
-    assert res.skipped_updates >= 1
-    assert np.isnan(res.log_evidence)
-    # the warm-started site anneals back toward the flat fallback
-    cfg = EpConfig()
-    bound = cfg.tolerance / cfg.damping
-    assert np.abs(res.sites.obs_h).max() <= bound
-    assert np.abs(res.sites.obs_J).max() <= bound
     res0 = run_ep(spec, obs, LogNormalObs(750.0), None, prior, grid,
                   EpConfig(init_mode="zero"))
     assert res0.skipped_updates >= 1
     assert not res0.sites.obs_h.any()
+    assert np.isnan(res0.log_evidence)
 
 
 def test_free_energy_direction_under_noise_doubling():

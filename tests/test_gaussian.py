@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from epsde import (
+from epsde.errors import NonPositiveDefinite
+from epsde.gaussian import (
+    LOG_2PI,
     GaussianCanonical,
     GaussianMoments,
-    NonPositiveDefinite,
+    RepairCounter,
     add_site,
     canonical_to_moments,
     log_partition,
@@ -14,7 +16,6 @@ from epsde import (
     moments_to_canonical,
     repair_psd,
 )
-from epsde.gaussian import LOG_2PI, RepairCounter
 
 from _oracles import gauss_jordan_inverse
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.stats import lognorm, multivariate_normal
 
-from epsde.closure import gaussian_expectation
 from epsde.errors import ImproperCavity, QuadratureUnderflow
 from epsde.filtering import MarginalPath
 from epsde.gaussian import (
@@ -33,6 +32,8 @@ from epsde.likelihoods import (
     tilted_moments,
 )
 from epsde.processes import PolynomialMap
+
+from _oracles import gaussian_expectation
 
 CAV_MEAN = np.array([40.0, 80.0])
 CAV_COV = np.array([[64.0, 20.0], [20.0, 144.0]])

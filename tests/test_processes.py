@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from epsde import (
+from epsde.processes import (
     MjpSpec,
     PolynomialMap,
     SdeSpec,

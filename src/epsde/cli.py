@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .closure import closed_rhs, pack, unpack
 from .engine import EpConfig, EpResult, run_adf, run_ep
 from .errors import ConfigError, NotConverged, NumericalError
 from .filtering import MarginalPath, TimeGrid
@@ -235,6 +236,10 @@ def load_config(path) -> ExperimentConfig:
 
     mjp, sde = _build_model(raw.get("model"), "model")
     dim = sde.dim
+    try:
+        closed_rhs(sde)
+    except ValueError as err:
+        raise ConfigError(f"model: {err}") from None
 
     horizon = raw.get("horizon")
     if horizon is None:
@@ -343,80 +348,72 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_observations(path, obs: list[Observation], dim: int) -> None:
+def _write_table(path, header: list[str], rows) -> None:
+    """One CSV line per row, numbers in 17 significant digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t"] + [f"y{i + 1}" for i in range(dim)])
-        for o in obs:
-            w.writerow([_fmt(o.time)] + [_fmt(v) for v in o.value])
+        w.writerow(header)
+        for row in rows:
+            w.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
 
 
-def read_observations(path) -> list[Observation]:
+def _read_table(path, what: str) -> np.ndarray:
+    """The rows under a header starting with 't', one per line, as finite
+    numbers, one per header column; a bad cell names the file and line."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"observations file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or not rows[0] or rows[0][0] != "t":
         raise ConfigError(f"{path}: expected header starting with 't'")
-    obs = []
+    width = len(rows[0])
+    table = np.empty((len(rows) - 1, width))
     for line, row in enumerate(rows[1:], start=2):
         try:
-            values = np.array([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError:
-            values = np.array([np.nan])
-        if not values.size or not np.isfinite(values).all():
-            raise ConfigError(f"{path}, line {line}: expected finite numbers")
-        obs.append(Observation(values[0], values[1:]))
-    return obs
+            values = []
+        if len(values) != width or not np.isfinite(values).all():
+            raise ConfigError(f"{path}, line {line}: expected {width} "
+                              "finite numbers")
+        table[line - 2] = values
+    return table
+
+
+def write_observations(path, obs: list[Observation], dim: int) -> None:
+    _write_table(path, ["t"] + [f"y{i + 1}" for i in range(dim)],
+                 ([o.time, *o.value] for o in obs))
+
+
+def read_observations(path) -> list[Observation]:
+    return [Observation(row[0], row[1:])
+            for row in _read_table(path, "observations")]
 
 
 def write_trajectory(path, times, states) -> None:
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"n{i + 1}" for i in range(states.shape[1])])
-        for t, row in zip(times, states):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in row])
+    _write_table(path, ["t"] + [f"n{i + 1}" for i in range(states.shape[1])],
+                 ([t, *row] for t, row in zip(times, states)))
 
 
 def read_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"trajectory file not found: {path}")
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-    return data[:, 0], data[:, 1:]
-
-
-def _tri_indices(dim: int):
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
+    table = _read_table(path, "trajectory")
+    return table[:, 0], table[:, 1:]
 
 
 def write_marginals(path, marg: MarginalPath) -> None:
     dim = marg.means.shape[1]
-    pairs = _tri_indices(dim)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"m{i + 1}" for i in range(dim)]
-                   + [f"P{i + 1}{j + 1}" for i, j in pairs])
-        for t, m, c in zip(marg.times, marg.means, marg.covs):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in m]
-                       + [_fmt(c[i, j]) for i, j in pairs])
+    _write_table(path, ["t"] + [f"m{i + 1}" for i in range(dim)]
+                 + [f"P{i + 1}{j + 1}" for i, j in zip(*np.triu_indices(dim))],
+                 np.column_stack((marg.times, pack(marg.means, marg.covs))))
 
 
 def read_marginals(path, kind: str = "smoothed") -> MarginalPath:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"marginals file not found: {path}")
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-    n_cols = data.shape[1] - 1
-    # n_cols = d + d(d+1)/2
-    dim = int(round((np.sqrt(9 + 8 * n_cols) - 3) / 2))
-    means = data[:, 1:1 + dim]
-    covs = np.empty((len(data), dim, dim))
-    for k, (i, j) in enumerate(_tri_indices(dim)):
-        covs[:, i, j] = covs[:, j, i] = data[:, 1 + dim + k]
-    return MarginalPath(data[:, 0], means, covs, kind=kind)
+    table = _read_table(path, "marginals")
+    # the columns are t, d means and d(d+1)/2 covariance entries
+    dim = int(round((np.sqrt(9 + 8 * (table.shape[1] - 1)) - 3) / 2))
+    return MarginalPath(table[:, 0], *unpack(table[:, 1:], dim), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -606,18 +603,10 @@ def cmd_benchmark(cfg: ExperimentConfig, out=None, workers: int = 1
     report = BenchmarkReport(rows=tuple(rows), replicates=cfg.replicates,
                              replicate_details=tuple(results))
 
-    csv_path = out_dir / "benchmark.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["variance", "method", "rmse_observations", "rmse_path",
-                  "mean_sweeps", "converged_fraction", "replicates",
-                  "failures"]
-        w.writerow(header)
-        for r in rows:
-            w.writerow([_fmt(r["variance"]), r["method"],
-                        _fmt(r["rmse_observations"]), _fmt(r["rmse_path"]),
-                        _fmt(r["mean_sweeps"]), _fmt(r["converged_fraction"]),
-                        r["replicates"], r["failures"]])
+    header = ["variance", "method", "rmse_observations", "rmse_path",
+              "mean_sweeps", "converged_fraction", "replicates", "failures"]
+    _write_table(out_dir / "benchmark.csv", header,
+                 ([r[key] for key in header] for r in rows))
     json_path = out_dir / "benchmark.json"
     with open(json_path, "w") as fh:
         json.dump({

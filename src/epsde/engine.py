@@ -10,10 +10,10 @@ run_ep iterates full parallel sweeps.  Each sweep runs one forward and
 one backward pass at the current sites, reads the smoothed marginal at
 every node, forms cavities for all sites from the same smoothed path,
 moment-matches the tilted distributions, and applies the damped update
-jointly.  The sweep loop stops when the largest applied parameter
-change falls below the tolerance; a final forward/backward evaluation
-at the fixed sites produces the returned marginals and the free-energy
-estimate of the log evidence.
+jointly.  Once the largest applied parameter change falls below the
+tolerance, or the sweep budget is spent, one more forward/backward
+evaluation at the fixed sites produces the returned marginals and the
+free-energy estimate of the log evidence.
 
 run_adf is one forward pass (filtering.forward_pass) with a site hook,
 so ADF and EP run the same propagation kernel.  At each node the hook
@@ -21,7 +21,8 @@ sets the observation site that moves the marginal to the tilted one,
 and the continuous site of the cell starting there from the filtered
 moments.  With smoothing enabled a backward pass follows; the realized
 sites make the result exactly one parallel EP step in the conjugate
-case.
+case.  Both methods match sites with _match_site and report the free
+energy at their returned path (_log_evidence).
 """
 
 from __future__ import annotations
@@ -84,13 +85,12 @@ class EpConfig:
     eps_psd: float = 1e-8
     quad_order: int = 32
     init_mode: str = "auto"
-    diverge_threshold: float = 1e12
 
     def __post_init__(self):
         # NaN fails every comparison below, so it is rejected too
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        for name in ("tolerance", "eps_psd", "diverge_threshold"):
+        for name in ("tolerance", "eps_psd"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
         for name in ("max_sweeps", "quad_order"):
@@ -107,13 +107,14 @@ class EpResult:
     """Outcome of an inference run.
 
     smoothed holds the marginals the method reports (for plain ADF that
-    is the filtered path); converged is always checked against the
-    applied site change, so a result with converged False is still a
-    valid, fully evaluated state.
+    is the filtered path), and log_evidence the free energy there, NaN
+    when some observation site cannot be matched there.  converged is
+    always checked against the applied site change, so a result with
+    converged False is still a valid, fully evaluated state.  EP's
+    sweeps_run is the length of max_site_delta_history.
     """
 
     smoothed: MarginalPath
-    filtered: MarginalPath
     sites: SiteSet
     log_evidence: float
     sweeps_run: int
@@ -136,9 +137,6 @@ def _snap_observations(obs: list[Observation], grid: TimeGrid, dim: int
                 f"observation at t={o.time} has dimension {o.value.shape}, "
                 f"expected ({dim},)")
         values[s] = o.value
-    if len(idx) > 1 and (np.diff(idx) <= 0).any():
-        raise ValueError("observations must map to distinct, increasing "
-                         "grid nodes")
     return idx, values
 
 
@@ -159,9 +157,13 @@ def _cavity_degenerate(cav_J: np.ndarray, marginal_J: np.ndarray) -> bool:
 
 def _match_site(obs_model, y: np.ndarray, marginal: GaussianMoments,
                 h: np.ndarray, J: np.ndarray, cfg: EpConfig, counter):
-    """(cavity, tilted moments, tilted log partition) of one observation
-    site at a marginal, or None when the site cannot be matched there: a
-    degenerate or improper cavity, or quadrature underflow."""
+    """Moment-match the observation site (h, J) at a marginal.
+
+    Returns the proposed site (h, J) that moves the cavity to the tilted
+    moments, the tilted moments and the tilted log partition, or None
+    when the site cannot be matched there: a degenerate or improper
+    cavity, or quadrature underflow.
+    """
     nat = moments_to_canonical(marginal)
     cavity = GaussianCanonical(nat.h - h, nat.J - J)
     if (not isinstance(obs_model, GaussianObs)
@@ -173,7 +175,8 @@ def _match_site(obs_model, y: np.ndarray, marginal: GaussianMoments,
             eps_psd=cfg.eps_psd, counter=counter)
     except (ImproperCavity, QuadratureUnderflow):
         return None
-    return cavity, tilted, log_z
+    post = moments_to_canonical(tilted)
+    return post.h - cavity.h, post.J - cavity.J, tilted, log_z
 
 
 # moment matching exp(-a s^4) against a flat measure: the matched
@@ -248,21 +251,20 @@ def free_energy(fwd_log_norm: float, sites: SiteSet, smoothed: MarginalPath,
     return total
 
 
-def _final_log_partitions(obs_model, values, idx, sites, smoothed, cfg,
-                          counter):
-    """Tilted log partitions at the cavities of the current smoothed path.
-
-    Returns None when any site cannot be matched, in which case the free
-    energy cannot be evaluated at this state.
-    """
-    tilted = np.empty(len(idx))
-    for s, k in enumerate(idx):
-        matched = _match_site(obs_model, values[s], smoothed.node(int(k)),
+def _log_evidence(obs_model, values, sites: SiteSet, log_norm: float,
+                  path: MarginalPath, grid: TimeGrid, loss, cfg: EpConfig,
+                  counter) -> float:
+    """Free energy at the sites and the path a method reports, with the
+    tilted log partitions taken at that path's cavities; NaN when any
+    site cannot be matched there."""
+    tilted = np.empty(len(values))
+    for s, k in enumerate(sites.obs_idx):
+        matched = _match_site(obs_model, values[s], path.node(int(k)),
                               sites.obs_h[s], sites.obs_J[s], cfg, counter)
         if matched is None:
-            return None
-        tilted[s] = matched[2]
-    return tilted
+            return float("nan")
+        tilted[s] = matched[3]
+    return free_energy(log_norm, sites, path, tilted, grid, loss)
 
 
 def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
@@ -271,30 +273,33 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     """Parallel expectation propagation over the whole grid.
 
     Never raises on non-convergence: the result carries converged=False
-    and the per-sweep change history instead.  Numerical failures inside
-    a sweep propagate with the sweep index attached.
+    and the per-sweep change history instead.  Numerical failures
+    propagate with the sweep index attached; one raised in the final
+    evaluation at the returned sites carries sweep = sweeps_run + 1.
     """
     cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
     idx, values = _snap_observations(obs, grid, dim)
     sites = _init_sites(obs_model, values, loss, grid, dim, idx, cfg)
     counter = RepairCounter()
-    times = grid.times
 
     skipped = 0
     obs_updated = np.zeros(len(idx), dtype=bool)
     history = []
     converged = False
-    sweeps_run = 0
 
-    for sweep in range(1, cfg.max_sweeps + 1):
+    # sweep max_sweeps + 1 only evaluates the final state
+    for sweep in range(1, cfg.max_sweeps + 2):
         try:
             fwd = forward_pass(spec, sites, init, grid, eps_psd=cfg.eps_psd,
-                               diverge_threshold=cfg.diverge_threshold,
                                counter=counter)
             smoothed = backward_pass(spec, fwd, grid, eps_psd=cfg.eps_psd,
-                                     diverge_threshold=cfg.diverge_threshold,
                                      counter=counter)
+            if converged or sweep > cfg.max_sweeps:
+                log_evidence = _log_evidence(obs_model, values, sites,
+                                             fwd.log_norm, smoothed, grid,
+                                             loss, cfg, counter)
+                break
 
             prop_obs_h = sites.obs_h.copy()
             prop_obs_J = sites.obs_J.copy()
@@ -302,67 +307,43 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
                 matched = _match_site(obs_model, values[s],
                                       smoothed.node(int(k)), sites.obs_h[s],
                                       sites.obs_J[s], cfg, counter)
+                if matched is not None:
+                    prop_obs_h[s], prop_obs_J[s] = matched[:2]
+                    obs_updated[s] = True
+                    continue
                 # a site that cannot be matched this sweep keeps its last
                 # good value if it has been matched before, while one
                 # still carrying pure warm-start residue is walked back
                 # toward zero by the damped update
-                if matched is None:
-                    skipped += 1
-                    if not obs_updated[s]:
-                        prop_obs_h[s] = 0.0
-                        prop_obs_J[s] = 0.0
-                    continue
-                cavity, tm, _ = matched
-                post = moments_to_canonical(tm)
-                prop_obs_h[s] = post.h - cavity.h
-                prop_obs_J[s] = post.J - cavity.J
-                obs_updated[s] = True
+                skipped += 1
+                if not obs_updated[s]:
+                    prop_obs_h[s] = 0.0
+                    prop_obs_J[s] = 0.0
 
             prop_cont_h = sites.cont_h
             prop_cont_J = sites.cont_J
             if loss is not None:
                 prop_cont_h, prop_cont_J = continuous_site_update(
-                    loss, smoothed, times)
+                    loss, smoothed, grid.times)
         except (NonPositiveDefinite, DivergedMoments) as err:
             err.sweep = sweep
             raise
 
-        eps = cfg.damping
-        d_oh = eps * (prop_obs_h - sites.obs_h)
-        d_oJ = eps * (prop_obs_J - sites.obs_J)
-        d_ch = eps * (prop_cont_h - sites.cont_h)
-        d_cJ = eps * (prop_cont_J - sites.cont_J)
         max_delta = 0.0
-        for block in (d_oh, d_oJ, d_ch, d_cJ):
-            if block.size:
-                max_delta = max(max_delta, float(np.abs(block).max()))
-        sites.obs_h += d_oh
-        sites.obs_J += d_oJ
-        sites.cont_h += d_ch
-        sites.cont_J += d_cJ
+        for site, prop in ((sites.obs_h, prop_obs_h),
+                           (sites.obs_J, prop_obs_J),
+                           (sites.cont_h, prop_cont_h),
+                           (sites.cont_J, prop_cont_J)):
+            step = cfg.damping * (prop - site)
+            if step.size:
+                max_delta = max(max_delta, float(np.abs(step).max()))
+            site += step
 
         history.append(max_delta)
-        sweeps_run = sweep
-        if max_delta <= cfg.tolerance:
-            converged = True
-            break
+        converged = max_delta <= cfg.tolerance
 
-    fwd = forward_pass(spec, sites, init, grid, eps_psd=cfg.eps_psd,
-                       diverge_threshold=cfg.diverge_threshold,
-                       counter=counter)
-    smoothed = backward_pass(spec, fwd, grid, eps_psd=cfg.eps_psd,
-                             diverge_threshold=cfg.diverge_threshold,
-                             counter=counter)
-    tilted = _final_log_partitions(obs_model, values, idx, sites, smoothed,
-                                   cfg, counter)
-    if tilted is None:
-        log_evidence = float("nan")
-    else:
-        log_evidence = free_energy(fwd.log_norm, sites, smoothed, tilted,
-                                   grid, loss)
-
-    return EpResult(smoothed=smoothed, filtered=fwd.filtered, sites=sites,
-                    log_evidence=log_evidence, sweeps_run=sweeps_run,
+    return EpResult(smoothed=smoothed, sites=sites,
+                    log_evidence=log_evidence, sweeps_run=len(history),
                     converged=converged,
                     max_site_delta_history=np.asarray(history),
                     psd_repairs=counter.count, skipped_updates=skipped,
@@ -375,10 +356,12 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     """Single-sweep assumed density filtering, optionally smoothed.
 
     The forward pass runs with a hook that, at each observation node,
-    sets the site moving the marginal to the tilted one and records it,
-    and computes the continuous site of each cell from the filtered
-    moments at its left node, so the sites and log normalizer feed the
-    same free-energy evaluation EP uses.
+    matches the site that moves the marginal to the tilted one (its
+    cavity is the marginal itself, the site still being zero), and
+    computes the continuous site of each cell from the moments at its
+    left node.  The log evidence is the free energy at the reported
+    path: the smoothed one for adf-s, the filtered one for plain adf;
+    it is NaN when a site cannot be matched there.
     """
     cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
@@ -387,24 +370,19 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     counter = RepairCounter()
     times = grid.times
     obs_slot = {int(i): s for s, i in enumerate(idx)}
-    tilted = np.zeros(len(idx))
     skipped = 0
 
     def match_sites(k, mean, cov):
         nonlocal skipped
         s = obs_slot.get(k)
         if s is not None:
-            eta = moments_to_canonical(GaussianMoments(mean, cov))
-            try:
-                tm, tilted[s] = tilted_moments(
-                    obs_model, values[s], eta, quad_order=cfg.quad_order,
-                    eps_psd=cfg.eps_psd, counter=counter)
-            except QuadratureUnderflow:
+            matched = _match_site(obs_model, values[s],
+                                  GaussianMoments(mean, cov), sites.obs_h[s],
+                                  sites.obs_J[s], cfg, counter)
+            if matched is None:
                 skipped += 1
             else:
-                post = moments_to_canonical(tm)
-                sites.obs_h[s] = post.h - eta.h
-                sites.obs_J[s] = post.J - eta.J
+                sites.obs_h[s], sites.obs_J[s], tm, _ = matched
                 mean, cov = tm.mean, tm.cov
         if loss is not None:
             lam = continuous_site_update(loss, GaussianMoments(mean, cov),
@@ -413,29 +391,16 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             sites.cont_J[k] = lam.J
 
     fwd = forward_pass(spec, sites, init, grid, eps_psd=cfg.eps_psd,
-                       diverge_threshold=cfg.diverge_threshold,
                        counter=counter, site_hook=match_sites)
-    filtered = fwd.filtered
-
+    path = fwd.filtered
     if smoothing:
-        smoothed = backward_pass(spec, fwd, grid, eps_psd=cfg.eps_psd,
-                                 diverge_threshold=cfg.diverge_threshold,
-                                 counter=counter)
-        final = _final_log_partitions(obs_model, values, idx, sites,
-                                      smoothed, cfg, counter)
-        path, method = smoothed, "adf-s"
-        tilted = final if final is not None else None
-    else:
-        path, method = filtered, "adf"
+        path = backward_pass(spec, fwd, grid, eps_psd=cfg.eps_psd,
+                             counter=counter)
+    log_evidence = _log_evidence(obs_model, values, sites, fwd.log_norm, path,
+                                 grid, loss, cfg, counter)
 
-    if tilted is None:
-        log_evidence = float("nan")
-    else:
-        log_evidence = free_energy(fwd.log_norm, sites, path, tilted, grid,
-                                   loss)
-
-    return EpResult(smoothed=path, filtered=filtered, sites=sites,
-                    log_evidence=log_evidence, sweeps_run=1, converged=True,
+    return EpResult(smoothed=path, sites=sites, log_evidence=log_evidence,
+                    sweeps_run=1, converged=True,
                     max_site_delta_history=np.zeros(0),
                     psd_repairs=counter.count, skipped_updates=skipped,
-                    method=method)
+                    method="adf-s" if smoothing else "adf")

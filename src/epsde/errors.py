@@ -12,34 +12,38 @@ class NumericalError(RuntimeError):
     """Base class for failures of the numerical machinery."""
 
 
-class NonPositiveDefinite(NumericalError):
+class GridError(NumericalError):
+    """A failure located at grid node ``time_index`` of a filtering or
+    smoothing pass and, once the fixed-point loop attaches it, at
+    iteration ``sweep``; the message names each that is set."""
+
+    def __init__(self, msg: str, time_index: int | None = None):
+        super().__init__(msg)
+        self.msg = msg
+        self.time_index = time_index
+        self.sweep: int | None = None
+
+    def __str__(self) -> str:
+        where = [f"{name} {value}" for name, value in
+                 (("grid node", self.time_index), ("sweep", self.sweep))
+                 if value is not None]
+        return self.msg + (f" ({', '.join(where)})" if where else "")
+
+
+class NonPositiveDefinite(GridError):
     """A matrix required to be positive definite was not.
 
     Raised by Cholesky-based conversions instead of silently producing
-    NaNs.  ``time_index`` locates the failing grid node when the error
-    comes out of a filtering or smoothing pass, ``sweep`` the iteration
-    when it comes out of the fixed-point loop.
+    NaNs.
     """
 
     def __init__(self, what: str, time_index: int | None = None):
-        self.what = what
-        self.time_index = time_index
-        self.sweep: int | None = None
-        msg = f"matrix not positive definite: {what}"
-        if time_index is not None:
-            msg += f" (grid node {time_index})"
-        super().__init__(msg)
+        super().__init__(f"matrix not positive definite: {what}", time_index)
 
 
-class DivergedMoments(NumericalError):
-    """Moment integration left the trust region (entries above ~1e12)."""
-
-    def __init__(self, msg: str, time_index: int | None = None):
-        self.time_index = time_index
-        self.sweep: int | None = None
-        if time_index is not None:
-            msg += f" (grid node {time_index})"
-        super().__init__(msg)
+class DivergedMoments(GridError):
+    """Moment integration left the trust region (an entry above
+    filtering.DIVERGE_THRESHOLD, or not finite)."""
 
 
 class ImproperCavity(NumericalError):

@@ -38,6 +38,10 @@ from .errors import DivergedMoments, NonPositiveDefinite
 from .gaussian import GaussianMoments, RepairCounter, _chol, repair_psd
 from .processes import SdeSpec
 
+# Moment entries above this bound mean the integration left the region
+# where the closure is meaningful; a pass raises DivergedMoments there.
+DIVERGE_THRESHOLD = 1e12
+
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
@@ -187,16 +191,14 @@ def _repair(y, d, eps_psd, counter):
     return y if counter.count == repairs else pack(mean, cov)
 
 
-def _check_finite(y, k, threshold):
+def _check_finite(y, k):
     # NaN compares false, so NaN and +-inf entries fail the finite bound
-    if not np.abs(y).max() <= threshold:
-        raise DivergedMoments(
-            f"moments diverged at node {k}", time_index=k)
+    if not np.abs(y).max() <= DIVERGE_THRESHOLD:
+        raise DivergedMoments("moments diverged", time_index=k)
 
 
 def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
                  grid: TimeGrid, *, eps_psd: float = 1e-8,
-                 diverge_threshold: float = 1e12,
                  counter: RepairCounter | None = None,
                  site_hook=None) -> ForwardPassResult:
     """Propagate the initial marginal through flow and sites over the grid.
@@ -240,7 +242,7 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
         if s is not None:
             y = site(y, sites.obs_h[s], sites.obs_J[s], 1.0, k)
         post[k] = y
-        _check_finite(y, k, diverge_threshold)
+        _check_finite(y, k)
 
     return ForwardPassResult(grid, *unpack(flow, d), *unpack(pre, d),
                              *unpack(post, d), log_norm)
@@ -248,7 +250,7 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
 
 def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
                   grid: TimeGrid | None = None, *,
-                  eps_psd: float = 1e-8, diverge_threshold: float = 1e12,
+                  eps_psd: float = 1e-8,
                   counter: RepairCounter | None = None) -> MarginalPath:
     """Integrate the smoothing equations backward against a forward pass.
 
@@ -263,22 +265,35 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
     d = fwd.post_means.shape[1]
 
     # pure-flow reference inside cell k runs from post[k] to flow[k+1];
-    # cubic Hermite in the node values and flow derivatives gives the
-    # midpoint needed by the Runge-Kutta stages
+    # cubic Hermite in the node values and flow derivatives gives it at
+    # any fraction of the cell
     y0 = pack(fwd.post_means[:-1], fwd.post_covs[:-1])
     y1 = pack(fwd.flow_means[1:], fwd.flow_covs[1:])
     dy0 = rhs.forward_batch(y0)
     dy1 = rhs.forward_batch(y1)
-    mid = 0.5 * (y0 + y1) + dt * (dy0 - dy1) / 8.0
+
+    def hermite_refs(cells, s) -> tuple[np.ndarray, np.ndarray]:
+        """Reference rows z of a cell index or a slice of cells at the
+        cell fractions s, with their precisions, fractions leading."""
+        s = np.reshape(s, (-1,) + (1,) * y0[cells].ndim)
+        s2, s3 = s * s, s * s * s
+        h00, h01 = 2 * s3 - 3 * s2 + 1, -2 * s3 + 3 * s2
+        h10, h11 = s3 - 2 * s2 + s, s3 - s2
+        rm, rc = unpack(h00 * y0[cells] + h01 * y1[cells]
+                        + dt * (h10 * dy0[cells] + h11 * dy1[cells]), d)
+        try:
+            prec = np.linalg.inv(rc)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefinite(
+                "forward reference covariance is singular",
+                time_index=cells if isinstance(cells, int) else None)
+        return smoothing_reference(rm, prec), prec
 
     # stage references of every cell at its right end, midpoint and left
-    # end, in one batch
-    ref_means, ref_covs = unpack(np.stack((y1, mid, y0)), d)
-    try:
-        ref_precs = np.linalg.inv(ref_covs)
-    except np.linalg.LinAlgError:
-        raise NonPositiveDefinite("forward reference covariance is singular")
-    refs = smoothing_reference(ref_means, ref_precs).swapaxes(0, 1)
+    # end, in one batch; the Hermite weights there are 0, 1 and powers
+    # of two, so these are the node values and the classic midpoint
+    refs, ref_precs = hermite_refs(slice(None), [1.0, 0.5, 0.0])
+    refs = refs.swapaxes(0, 1)
 
     # The backward gain scales with |E[b]| / |C_fw|, so cells whose
     # forward covariance collapses (near-exact observations) get too
@@ -291,21 +306,6 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
     n_subs = np.clip(np.ceil(dt * b_norms * pin_norms / 0.5),
                      1, 512).astype(np.int64).tolist()
 
-    def hermite_refs(k: int, s: np.ndarray) -> np.ndarray:
-        """Reference rows z of cell k at the cell fractions s."""
-        s = s[:, None]
-        s2, s3 = s * s, s * s * s
-        h00, h01 = 2 * s3 - 3 * s2 + 1, -2 * s3 + 3 * s2
-        h10, h11 = s3 - 2 * s2 + s, s3 - s2
-        rm, rc = unpack(h00 * y0[k] + h01 * y1[k]
-                        + dt * (h10 * dy0[k] + h11 * dy1[k]), d)
-        try:
-            prec = np.linalg.inv(rc)
-        except np.linalg.LinAlgError:
-            raise NonPositiveDefinite(
-                "forward reference covariance is singular", time_index=k)
-        return smoothing_reference(rm, prec)
-
     rows = np.empty((N + 1, y0.shape[1]))
     y = rows[N] = pack(fwd.post_means[N], fwd.post_covs[N])
     for k in range(N - 1, -1, -1):
@@ -317,9 +317,9 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
             h = -dt / n_sub
             for j in range(n_sub - 1, -1, -1):
                 s = np.array([(j + 1) / n_sub, (j + 0.5) / n_sub, j / n_sub])
-                y = _rk4_stages(rhs, y, h, hermite_refs(k, s))
+                y = _rk4_stages(rhs, y, h, hermite_refs(k, s)[0])
                 y = _repair(y, d, eps_psd, counter)
-        _check_finite(y, k, diverge_threshold)
+        _check_finite(y, k)
         rows[k] = y
 
     return MarginalPath(grid.times, *unpack(rows, d), kind="smoothed")

@@ -109,6 +109,8 @@ def test_config_errors_name_the_key_path(tmp_path):
         ("benchmark: {replicates: 0}", "benchmark.replicates"),
         ("loss: {kind: cubic}", "loss.kind"),
         ("model: {kind: linear, A: [[-1.0]], b: [[1.0, 0.0]]}", "model"),
+        ("model: {kind: mjp, stoich: [[1]], "
+         "rates: [{terms: [{coeff: 1.0, expo: [8]}]}]}", "model"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError) as exc:
@@ -310,6 +312,17 @@ def test_infer_malformed_observation_cell_is_exit_2(tmp_path, capsys, cell):
     assert "bad.csv" in err and "line 3" in err
 
 
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
+@pytest.mark.parametrize("reader", [read_observations, read_trajectory,
+                                    read_marginals],
+                         ids=["observations", "trajectory", "marginals"])
+def test_readers_reject_malformed_cell(tmp_path, reader, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,m1,P11\n1.0,90.0,110.0\n2.0,{cell},95.0\n")
+    with pytest.raises(ConfigError, match="bad.csv, line 3"):
+        reader(path)
+
+
 def test_infer_require_convergence_is_exit_4(tmp_path, capsys):
     text = LV_SMALL_YAML + "ep: {tolerance: 1.0e-13, max_sweeps: 2}\n"
     cfg_path = _write(tmp_path, text)
@@ -334,6 +347,16 @@ def test_console_entry_point_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "config valid" in proc.stdout
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    cfg_path = _write(tmp_path, LV_SMALL_YAML)
+    proc = subprocess.run(
+        [sys.executable, "-m", "epsde", "validate", "--config", str(cfg_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "config valid" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epsde.engine import EpConfig, EpResult, free_energy, run_adf, run_ep
+from epsde.errors import DivergedMoments
 from epsde.filtering import SiteSet, TimeGrid, forward_pass
 from epsde.gaussian import GaussianCanonical, GaussianMoments, \
     moments_to_canonical
@@ -188,7 +189,7 @@ def test_ep_sweep_budget_respected_when_not_converged():
     assert np.all(np.isfinite(res.smoothed.means))
 
 
-def test_ep_skips_untractable_site_and_flags_evidence():
+def _untractable_case():
     # a prior pinned at negative values makes the log-normal tilted
     # integral vanish at every quadrature node: the update is skipped
     # and the free energy cannot be evaluated
@@ -196,11 +197,35 @@ def test_ep_skips_untractable_site_and_flags_evidence():
     prior = GaussianMoments(np.array([-50.0]), np.array([[1.0]]))
     grid = TimeGrid(0.0, 2.0, 100)
     obs = [Observation(1.0, np.array([100.0]))]
-    res0 = run_ep(spec, obs, LogNormalObs(750.0), None, prior, grid,
-                  EpConfig(init_mode="zero"))
-    assert res0.skipped_updates >= 1
-    assert not res0.sites.obs_h.any()
-    assert np.isnan(res0.log_evidence)
+    return spec, obs, LogNormalObs(750.0), None, prior, grid
+
+
+def _assert_skipped_and_flagged(res):
+    assert res.skipped_updates >= 1
+    assert not res.sites.obs_h.any()
+    assert np.isnan(res.log_evidence)
+
+
+def test_ep_skips_untractable_site_and_flags_evidence():
+    _assert_skipped_and_flagged(
+        run_ep(*_untractable_case(), EpConfig(init_mode="zero")))
+
+
+@pytest.mark.parametrize("smoothing", [False, True], ids=["adf", "adf-s"])
+def test_adf_skips_untractable_site_and_flags_evidence(smoothing):
+    _assert_skipped_and_flagged(
+        run_adf(*_untractable_case(), smoothing=smoothing))
+
+
+def test_divergence_names_grid_node_once_and_sweep():
+    spec = linear_sde(np.array([[5.0]]), np.array([[0.1]]))
+    prior = GaussianMoments(np.array([1.0]), np.array([[1.0]]))
+    with pytest.raises(DivergedMoments) as exc:
+        run_ep(spec, [], GaussianObs(np.eye(1)), None, prior,
+               TimeGrid(0.0, 8.0, 400))
+    assert exc.value.sweep == 1
+    message = str(exc.value)
+    assert message.count("grid node") == 1 and "sweep 1" in message
 
 
 def test_free_energy_direction_under_noise_doubling():
@@ -266,12 +291,6 @@ def test_config_validation():
         EpConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         EpConfig(init_mode="warm")
-
-
-@pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan])
-def test_config_rejects_diverge_threshold_not_finite_positive(threshold):
-    with pytest.raises(ValueError, match="diverge_threshold"):
-        EpConfig(diverge_threshold=threshold)
 
 
 def test_observation_validation():

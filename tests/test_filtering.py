@@ -13,6 +13,7 @@ from _oracles import linear_gaussian_reference, ou_exact_moments
 from epsde.closure import pack
 from epsde.errors import DivergedMoments, NonPositiveDefinite
 from epsde.filtering import (
+    DIVERGE_THRESHOLD,
     ForwardPassResult,
     MarginalPath,
     SiteSet,
@@ -280,12 +281,12 @@ def test_forward_diverges_on_explosive_drift():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -2e12])
 def test_divergence_guard_rejects_non_finite_and_huge_entries(where, bad):
     mean = np.array([1.0, -2.0])
-    cov = np.array([[1e12, 0.5], [0.5, 2.0]])   # at the bound: accepted
-    _check_finite(pack(mean, cov), 7, 1e12)
+    cov = np.array([[DIVERGE_THRESHOLD, 0.5], [0.5, 2.0]])  # at the bound
+    _check_finite(pack(mean, cov), 7)
     target = mean if where == "mean" else cov
     target.flat[1] = bad
     with pytest.raises(DivergedMoments) as info:
-        _check_finite(pack(mean, cov), 7, 1e12)
+        _check_finite(pack(mean, cov), 7)
     assert info.value.time_index == 7
 
 

@@ -168,7 +168,7 @@ def _build_model(node, path: str) -> tuple[MjpSpec | None, SdeSpec]:
     raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
 
 
-def _build_obs_model(node, path: str):
+def _build_obs_model(node, path: str, dim: int):
     if node is None:
         return LogNormalObs(750.0)
     _expect(node, path)
@@ -177,13 +177,20 @@ def _build_obs_model(node, path: str):
         R = _array(_get(node, "R", path), f"{path}.R")
         if R.ndim == 0:
             R = R.reshape(1, 1)
-        if R.ndim != 2 or R.shape[0] != R.shape[1]:
-            raise ConfigError(f"{path}.R: expected a square matrix")
+        if R.shape != (dim, dim):
+            raise ConfigError(f"{path}.R: expected a {dim}x{dim} matrix")
+        if not np.array_equal(R, R.T):
+            raise ConfigError(f"{path}.R: must be symmetric")
+        try:
+            np.linalg.cholesky(R)
+        except np.linalg.LinAlgError:
+            raise ConfigError(f"{path}.R: must be positive definite") from None
         return GaussianObs(R)
     if kind == "log_normal":
         v = _get(node, "variance", path, kind=float)
-        if v <= 0:
-            raise ConfigError(f"{path}.variance: must be positive")
+        # NaN fails the comparison too
+        if not 0.0 < v < np.inf:
+            raise ConfigError(f"{path}.variance: must be finite and positive")
         param = _get(node, "parameterization", path,
                      default="mean_variance", kind=str)
         try:
@@ -297,7 +304,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("observations.times: outside horizon")
     if obs_times.size > 1 and (np.diff(obs_times) <= 0).any():
         raise ConfigError("observations.times: must be strictly increasing")
-    obs_model = _build_obs_model(obs_node.get("model"), "observations.model")
+    obs_model = _build_obs_model(obs_node.get("model"), "observations.model",
+                                 dim)
 
     loss = _build_loss(raw.get("loss"), "loss", t0, t1)
 
@@ -324,8 +332,8 @@ def load_config(path) -> ExperimentConfig:
         variances = tuple(float(v) for v in variances)
     except (TypeError, ValueError):
         raise ConfigError("benchmark.variances: expected numbers") from None
-    if any(v <= 0 for v in variances):
-        raise ConfigError("benchmark.variances: must be positive")
+    if not all(0.0 < v < np.inf for v in variances):
+        raise ConfigError("benchmark.variances: must be finite and positive")
     replicates = _get(bench, "replicates", "benchmark", default=40, kind=int)
     if replicates < 1:
         raise ConfigError("benchmark.replicates: must be positive")

@@ -253,13 +253,17 @@ class ClosedOdeRhs:
         self.dim = d
         iu = np.triu_indices(d)
         sym = _SymBuilder(d)
-        expanded: dict[tuple[bytes, bytes], dict] = {}
+        expanded: dict[tuple[bytes, bytes, tuple[int, ...]], dict] = {}
 
-        def E(p: PolynomialMap) -> dict:
-            # many requested expectations repeat (symmetric b, swapped
-            # x_q x_r, forward terms reused by smoothing): expand each once
-            key = (p.coeffs.tobytes(), p.expo.tobytes())
+        def E(p: PolynomialMap, *extra: int) -> dict:
+            """<p x_extra...>.  Many requested expectations repeat
+            (symmetric b, swapped x_q x_r, forward terms reused by
+            smoothing): each is keyed on p and its sorted extra
+            variables, and built and expanded once."""
+            key = (p.coeffs.tobytes(), p.expo.tobytes(), tuple(sorted(extra)))
             if key not in expanded:
+                for var in extra:
+                    p = p.mul_monomial(var)
                 expanded[key] = sym.expectation(p)
             return expanded[key]
 
@@ -280,8 +284,8 @@ class ClosedOdeRhs:
         for (i, j) in zip(*iu):
             i, j = int(i), int(j)
             dc = sym.combine(
-                (1.0, E(a[i].mul_monomial(j))),
-                (1.0, E(a[j].mul_monomial(i))),
+                (1.0, E(a[i], j)),
+                (1.0, E(a[j], i)),
                 (-1.0, sym.expectation_times_mean(Ea[j], i)),
                 (-1.0, sym.expectation_times_mean(Ea[i], j)),
                 (1.0, E(b[i][j])),
@@ -300,21 +304,19 @@ class ClosedOdeRhs:
             polys.append(sub(Ea[i], E(div[i])))
         for i in range(d):
             for j in range(d):
-                polys.append(sub(E(a[i].mul_monomial(j)),
-                                 E(div[i].mul_monomial(j))))
+                polys.append(sub(E(a[i], j), E(div[i], j)))
         for i in range(d):
             for k in range(d):
                 polys.append(E(b[i][k]))
         for i in range(d):
             for k in range(d):
                 for r in range(d):
-                    polys.append(E(b[i][k].mul_monomial(r)))
+                    polys.append(E(b[i][k], r))
         for p_ in range(d):
             for q in range(d):
                 for k in range(d):
                     for r in range(d):
-                        polys.append(
-                            E(b[p_][k].mul_monomial(q).mul_monomial(r)))
+                        polys.append(E(b[p_][k], q, r))
         self._smb = _Block(polys, sym.n_vars)
         self._compile_contraction(np.array([bool(p) for p in polys]))
 

@@ -3,10 +3,21 @@
 Both passes integrate each node's moments as one packed vector
 y = (mean, cov upper triangle), the layout the compiled closure
 right-hand sides take and return (closure.pack/unpack).  A Runge-Kutta
-stage is one array update, the divergence guard one reduction, and the
-covariance is unpacked only where a factorization needs it: site
-updates, the PSD guard and the forward reference precisions.  Stored
-rows are unpacked once per pass.
+stage is one array update, and the covariance is unpacked only where a
+factorization needs it: site updates, the guards and the forward
+reference precisions.  Stored rows are unpacked once per pass.
+
+Two guards watch every integration step: the PSD guard clamps
+covariance eigenvalues below eps_psd (gaussian.repair_psd), and the
+divergence guard raises DivergedMoments at a node whose moments left
+the trust region.  They are checked once per pass: a pass first runs
+with both off, under numpy's raise-on-error state, keeping every state
+they would have seen, and is accepted when one batched test shows
+that no guard would have acted, in which case the guarded pass would
+have computed exactly the same.  Otherwise, or when that run fails,
+the pass runs again with a guard after every step, which repairs,
+counts and raises as before.  A forward pass with a site hook always
+runs guarded, since the hook acts on the sites as it goes.
 
 The forward pass integrates the closed moment equations cell by cell
 with classical fourth-order Runge-Kutta and applies site factors as
@@ -34,8 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import closed_rhs, pack, smoothing_reference, unpack
-from .errors import DivergedMoments, NonPositiveDefinite
-from .gaussian import GaussianMoments, RepairCounter, _chol, repair_psd
+from .errors import DivergedMoments, NonPositiveDefinite, NumericalError
+from .gaussian import (
+    GaussianMoments,
+    RepairCounter,
+    _chol,
+    above_psd_floor,
+    repair_psd,
+)
 from .processes import SdeSpec
 
 # Moment entries above this bound mean the integration left the region
@@ -191,10 +208,38 @@ def _repair(y, d, eps_psd, counter):
     return y if counter.count == repairs else pack(mean, cov)
 
 
-def _check_finite(y, k):
+def _bounded(y) -> bool:
     # NaN compares false, so NaN and +-inf entries fail the finite bound
-    if not np.abs(y).max() <= DIVERGE_THRESHOLD:
+    return bool(np.abs(y).max() <= DIVERGE_THRESHOLD)
+
+
+def _check_finite(y, k):
+    if not _bounded(y):
         raise DivergedMoments("moments diverged", time_index=k)
+
+
+def _accepted(repaired, checked, d, eps_psd) -> bool:
+    """Whether neither guard would have acted on a pass: every state the
+    PSD guard saw (packed rows) and every state the divergence guard saw
+    is bounded, and the former are all above the PSD floor."""
+    return (_bounded(repaired) and _bounded(checked)
+            and above_psd_floor(unpack(repaired, d)[1], eps_psd))
+
+
+def _guarded(run, d, eps_psd):
+    """Result of a pass checked once, see the module docstring.
+
+    run(guard) runs the pass with or without its per-step guards and
+    returns its result with the two kinds of states _accepted tests.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result, repaired, checked = run(False)
+        if _accepted(repaired, checked, d, eps_psd):
+            return result
+    except (FloatingPointError, NumericalError):
+        pass
+    return run(True)[0]
 
 
 def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
@@ -217,35 +262,47 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
     obs_slot = {int(i): k for k, i in enumerate(sites.obs_idx)}
     cont_on = (sites.cont_h.any(axis=1)
                | sites.cont_J.any(axis=(1, 2))).tolist()
-    y = pack(init.mean, init.cov)
-    flow, pre, post = np.empty((3, N + 1, len(y)))
-    log_norm = 0.0
+    y0 = pack(init.mean, init.cov)
 
-    def site(y, h, J, scale, k):
-        nonlocal log_norm
-        mean, cov, dlz = apply_canonical_site(*unpack(y, d), h, J, scale,
-                                              time_index=k)
-        log_norm += dlz
-        return pack(mean, cov)
+    def run(guard):
+        y = y0
+        flow, pre, post = np.empty((3, N + 1, len(y)))
+        log_norm = 0.0
 
-    for k in range(N + 1):
-        if k > 0:
-            y = _repair(_rk4(rhs.forward, y, dt), d, eps_psd, counter)
-        flow[k] = y
-        if k > 0 and cont_on[k - 1]:   # site of the cell ending here
-            y = site(y, sites.cont_h[k - 1], sites.cont_J[k - 1], dt, k)
-        pre[k] = y
-        if site_hook is not None:
-            site_hook(k, *unpack(y, d))
-            cont_on[k] = bool(sites.cont_h[k].any() or sites.cont_J[k].any())
-        s = obs_slot.get(k)
-        if s is not None:
-            y = site(y, sites.obs_h[s], sites.obs_J[s], 1.0, k)
-        post[k] = y
-        _check_finite(y, k)
+        def site(y, h, J, scale, k):
+            nonlocal log_norm
+            mean, cov, dlz = apply_canonical_site(*unpack(y, d), h, J, scale,
+                                                  time_index=k)
+            log_norm += dlz
+            return pack(mean, cov)
 
-    return ForwardPassResult(grid, *unpack(flow, d), *unpack(pre, d),
-                             *unpack(post, d), log_norm)
+        for k in range(N + 1):
+            if k > 0:
+                y = _rk4(rhs.forward, y, dt)
+                if guard:
+                    y = _repair(y, d, eps_psd, counter)
+            flow[k] = y
+            if k > 0 and cont_on[k - 1]:   # site of the cell ending here
+                y = site(y, sites.cont_h[k - 1], sites.cont_J[k - 1], dt, k)
+            pre[k] = y
+            if site_hook is not None:
+                site_hook(k, *unpack(y, d))
+                cont_on[k] = bool(sites.cont_h[k].any()
+                                  or sites.cont_J[k].any())
+            s = obs_slot.get(k)
+            if s is not None:
+                y = site(y, sites.obs_h[s], sites.obs_J[s], 1.0, k)
+            post[k] = y
+            if guard:
+                _check_finite(y, k)
+
+        return (ForwardPassResult(grid, *unpack(flow, d), *unpack(pre, d),
+                                  *unpack(post, d), log_norm),
+                flow[1:], post)
+
+    if site_hook is not None:
+        return run(True)[0]
+    return _guarded(run, d, eps_psd)
 
 
 def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
@@ -306,20 +363,30 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
     n_subs = np.clip(np.ceil(dt * b_norms * pin_norms / 0.5),
                      1, 512).astype(np.int64).tolist()
 
-    rows = np.empty((N + 1, y0.shape[1]))
-    y = rows[N] = pack(fwd.post_means[N], fwd.post_covs[N])
-    for k in range(N - 1, -1, -1):
-        n_sub = n_subs[k]
-        if n_sub == 1:
-            y = _rk4_stages(rhs, y, -dt, refs[k])
-            y = _repair(y, d, eps_psd, counter)
-        else:
-            h = -dt / n_sub
-            for j in range(n_sub - 1, -1, -1):
-                s = np.array([(j + 1) / n_sub, (j + 0.5) / n_sub, j / n_sub])
-                y = _rk4_stages(rhs, y, h, hermite_refs(k, s)[0])
-                y = _repair(y, d, eps_psd, counter)
-        _check_finite(y, k)
-        rows[k] = y
+    def run(guard):
+        rows = np.empty((N + 1, y0.shape[1]))
+        inner = []   # states inside split cells, which only the PSD guard sees
+        y = rows[N] = pack(fwd.post_means[N], fwd.post_covs[N])
+        for k in range(N - 1, -1, -1):
+            n_sub = n_subs[k]
+            if n_sub == 1:
+                y = _rk4_stages(rhs, y, -dt, refs[k])
+                if guard:
+                    y = _repair(y, d, eps_psd, counter)
+            else:
+                h = -dt / n_sub
+                for j in range(n_sub - 1, -1, -1):
+                    s = np.array([(j + 1) / n_sub, (j + 0.5) / n_sub,
+                                  j / n_sub])
+                    y = _rk4_stages(rhs, y, h, hermite_refs(k, s)[0])
+                    if guard:
+                        y = _repair(y, d, eps_psd, counter)
+                    elif j:
+                        inner.append(y)
+            if guard:
+                _check_finite(y, k)
+            rows[k] = y
+        path = MarginalPath(grid.times, *unpack(rows, d), kind="smoothed")
+        return path, np.vstack((rows[:N], *inner)), rows[:N]
 
-    return MarginalPath(grid.times, *unpack(rows, d), kind="smoothed")
+    return _guarded(run, d, eps_psd)

@@ -57,14 +57,6 @@ class GaussianMoments:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def validate(self, *, sym_tol: float = 1e-12) -> None:
-        """Check symmetry and positive definiteness, raising on failure."""
-        scale = max(1.0, float(np.max(np.abs(self.cov))))
-        asym = float(np.max(np.abs(self.cov - self.cov.T)))
-        if asym > sym_tol * scale:
-            raise ValueError(f"covariance asymmetric: max |C - C^T| = {asym:g}")
-        _chol(self.cov, "covariance")
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianCanonical:
@@ -138,15 +130,23 @@ def add_site(c: GaussianCanonical, site: GaussianCanonical,
     return GaussianCanonical(c.h + scale * site.h, c.J + scale * site.J)
 
 
-def mean_params(m: GaussianMoments) -> tuple[np.ndarray, np.ndarray]:
-    """Expected sufficient statistics (E[x], E[-x x^T / 2])."""
-    second = m.cov + np.outer(m.mean, m.mean)
-    return m.mean.copy(), -0.5 * second
-
-
 @lru_cache(maxsize=None)
 def _identity(d: int) -> np.ndarray:
     return np.identity(d)
+
+
+def above_psd_floor(cov: np.ndarray, eps_psd: float) -> bool:
+    """The PSD guard's accept test: whether cov - eps_psd I has a
+    Cholesky factor, for one symmetric matrix or every one of a stack.
+
+    The factorization does not fail on NaN or infinite entries, so
+    callers reject non-finite input themselves.
+    """
+    try:
+        np.linalg.cholesky(cov - eps_psd * _identity(cov.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def repair_psd(mean: np.ndarray, cov: np.ndarray, eps_psd: float = 1e-8,
@@ -156,17 +156,13 @@ def repair_psd(mean: np.ndarray, cov: np.ndarray, eps_psd: float = 1e-8,
     Input is symmetrized first; the mean passes through untouched.  Used
     after integration steps and quadrature moment matching, where small
     eigenvalue undershoots are roundoff-level artifacts rather than
-    genuine model failures.  A Cholesky factorization of cov - eps_psd I
-    accepts the common healthy case without an eigendecomposition; it
-    does not fail on NaN entries, which pass through uncounted for the
-    callers' divergence guards to reject.
+    genuine model failures.  above_psd_floor accepts the common healthy
+    case without an eigendecomposition; NaN entries pass through
+    uncounted for the callers' divergence guards to reject.
     """
     cov = 0.5 * (cov + cov.T)
-    try:
-        np.linalg.cholesky(cov - eps_psd * _identity(len(cov)))
+    if above_psd_floor(cov, eps_psd):
         return mean, cov
-    except np.linalg.LinAlgError:
-        pass
     w, V = np.linalg.eigh(cov)
     if w[0] >= eps_psd:
         return mean, cov

@@ -37,6 +37,24 @@ def gauss_jordan_inverse(mat: np.ndarray) -> np.ndarray:
     return aug[:, n:]
 
 
+def mean_params(m) -> tuple[np.ndarray, np.ndarray]:
+    """Expected sufficient statistics (E[x], E[-x x^T / 2]) of a Gaussian
+    with moments (m.mean, m.cov)."""
+    second = m.cov + np.outer(m.mean, m.mean)
+    return m.mean.copy(), -0.5 * second
+
+
+def validate_moments(m, *, sym_tol: float = 1e-12) -> None:
+    """Check that m.cov is symmetric and positive definite, raising
+    ValueError on failure."""
+    scale = max(1.0, float(np.max(np.abs(m.cov))))
+    asym = float(np.max(np.abs(m.cov - m.cov.T)))
+    if asym > sym_tol * scale:
+        raise ValueError(f"covariance asymmetric: max |C - C^T| = {asym:g}")
+    if not np.linalg.eigvalsh(m.cov)[0] > 0.0:
+        raise ValueError("covariance not positive definite")
+
+
 def ou_transition(A: np.ndarray, b: np.ndarray, dt: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Exact discrete transition (F, Q) of dx = A x dt + b^(1/2) dW.

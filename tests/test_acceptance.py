@@ -16,7 +16,7 @@ from epsde.cli import cmd_simulate, load_config
 from epsde.engine import run_adf, run_ep
 from epsde.filtering import SiteSet, TimeGrid, forward_pass
 from epsde.gaussian import GaussianCanonical, GaussianMoments, \
-    canonical_to_moments, log_partition, mean_params, moments_to_canonical
+    canonical_to_moments, log_partition, moments_to_canonical
 from epsde.likelihoods import GaussianObs, LogNormalObs, Observation, \
     QuarticLoss, continuous_site_update, expected_loss, log_normal_logpdf, \
     tilted_moments
@@ -26,7 +26,8 @@ from epsde.simulate import gillespie, gillespie_ensemble, make_rng, \
     sample_observations
 
 import conftest
-from _oracles import linear_gaussian_reference, ou_exact_moments
+from _oracles import linear_gaussian_reference, mean_params, \
+    ou_exact_moments
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

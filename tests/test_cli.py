@@ -93,6 +93,19 @@ def test_config_errors_name_the_key_path(tmp_path):
         ("observations: {times: [1.0, 1.0]}", "observations.times"),
         ("observations: {model: {kind: log_normal, variance: -3.0}}",
          "observations.model.variance"),
+        ("observations: {model: {kind: log_normal, variance: .nan}}",
+         "observations.model.variance"),
+        ("observations: {model: {kind: log_normal, variance: .inf}}",
+         "observations.model.variance"),
+        ("model: {kind: linear, A: [[-1.0]], b: [[1.0]]}\n"
+         "observations: {model: {kind: gaussian, R: [[-0.2]]}}",
+         "observations.model.R"),
+        ("observations: {model: {kind: gaussian, R: [[1.0]]}}",
+         "observations.model.R"),
+        ("observations: {model: {kind: gaussian, "
+         "R: [[1.0, 0.5], [0.4, 1.0]]}}", "observations.model.R"),
+        ("observations: {model: {kind: gaussian, "
+         "R: [[1.0, 2.0], [2.0, 1.0]]}}", "observations.model.R"),
         ("ep: {dampening: 0.5}", "ep"),
         ("ep: {damping: 1.5}", "ep"),
         ("ep: {max_sweeps: 2.5}", "ep"),
@@ -106,6 +119,8 @@ def test_config_errors_name_the_key_path(tmp_path):
         ("ep: {init_mode: project}", "ep"),
         ("ep: {flat_init_scale: 1.0e-6}", "ep"),
         ("benchmark: {variances: [0.0]}", "benchmark.variances"),
+        ("benchmark: {variances: [.nan]}", "benchmark.variances"),
+        ("benchmark: {variances: [.inf]}", "benchmark.variances"),
         ("benchmark: {replicates: 0}", "benchmark.replicates"),
         ("loss: {kind: cubic}", "loss.kind"),
         ("model: {kind: linear, A: [[-1.0]], b: [[1.0, 0.0]]}", "model"),

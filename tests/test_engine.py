@@ -228,6 +228,16 @@ def test_divergence_names_grid_node_once_and_sweep():
     assert message.count("grid node") == 1 and "sweep 1" in message
 
 
+def test_ep_divergence_node_is_pinned():
+    # the same setup as test_divergence_names_grid_node_once_and_sweep
+    spec = linear_sde(np.array([[5.0]]), np.array([[0.1]]))
+    prior = GaussianMoments(np.array([1.0]), np.array([[1.0]]))
+    with pytest.raises(DivergedMoments) as exc:
+        run_ep(spec, [], GaussianObs(np.eye(1)), None, prior,
+               TimeGrid(0.0, 8.0, 400))
+    assert (exc.value.time_index, exc.value.sweep) == (139, 1)
+
+
 def test_free_energy_direction_under_noise_doubling():
     # data far from the prior path: a larger observation variance makes
     # the single far point less surprising, so the evidence rises

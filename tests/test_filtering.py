@@ -6,11 +6,15 @@ and RTS smoother on the grid, so every comparison here is against
 closed-form linear-Gaussian results, not against the code under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+import epsde.filtering as filtering
 from _oracles import linear_gaussian_reference, ou_exact_moments
-from epsde.closure import pack
+from epsde.closure import ClosedOdeRhs, pack
+from epsde.engine import run_adf
 from epsde.errors import DivergedMoments, NonPositiveDefinite
 from epsde.filtering import (
     DIVERGE_THRESHOLD,
@@ -32,6 +36,7 @@ from epsde.gaussian import (
     log_partition,
     moments_to_canonical,
 )
+from epsde.likelihoods import GaussianObs, Observation
 from epsde.processes import linear_sde
 
 A2 = np.array([[-1.0, 0.3], [-0.2, -1.4]])
@@ -298,3 +303,116 @@ def test_repair_counter_stays_zero_on_benign_problem():
                        counter=counter)
     backward_pass(spec, fwd, counter=counter)
     assert counter.count == 0
+
+
+def test_forward_divergence_node_is_pinned():
+    # the same setup as test_forward_diverges_on_explosive_drift
+    spec = linear_sde(np.array([[5.0]]), np.array([[0.1]]))
+    grid = TimeGrid(0.0, 8.0, 200)
+    prior = GaussianMoments(np.array([1.0]), np.array([[0.5]]))
+    with pytest.raises(DivergedMoments) as info:
+        forward_pass(spec, SiteSet.zeros(grid, 1, []), prior, grid)
+    assert info.value.time_index == 71
+
+
+def test_overflowing_horizon_diverges_without_warning():
+    # without per-step guards the pass would run on into overflow; the
+    # guarded re-run stops at the first node past the bound, as before
+    spec = linear_sde(np.array([[5.0]]), np.array([[0.1]]))
+    grid = TimeGrid(0.0, 200.0, 200)
+    prior = GaussianMoments(np.array([1.0]), np.array([[0.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedMoments) as info:
+            forward_pass(spec, SiteSet.zeros(grid, 1, []), prior, grid)
+    assert info.value.time_index == 5
+
+
+def test_site_past_the_bound_diverges_at_its_node():
+    # at the last node no flow row follows, so only the post row shows it
+    grid = TimeGrid(0.0, 1.0, 10)
+    sites = _gauss_sites(grid, [1.0], [np.array([1e13, 0.0])],
+                         1e-3 * np.eye(2))
+    with pytest.raises(DivergedMoments) as info:
+        forward_pass(linear_sde(A2, B2), sites, PRIOR2, grid)
+    assert info.value.time_index == 10
+
+
+def _run_passes(spec, sites, prior, grid):
+    counter = RepairCounter()
+    fwd = forward_pass(spec, sites, prior, grid, counter=counter)
+    path = backward_pass(spec, fwd, counter=counter)
+    rows = (fwd.flow_means, fwd.flow_covs, fwd.pre_means, fwd.pre_covs,
+            fwd.post_means, fwd.post_covs, path.means, path.covs)
+    return rows, fwd.log_norm, counter.count
+
+
+def _benign_case():
+    grid, obs_times, obs_values, R = _obs_case(200)
+    sites = _gauss_sites(grid, obs_times, obs_values, R)
+    return _run_passes(linear_sde(A2, B2), sites, PRIOR2, grid)
+
+
+def _clamping_case():
+    # a rank-one diffusion along a nearly rank-one covariance: the guard
+    # keeps clamping the other eigenvalue up to eps_psd
+    spec = linear_sde(np.zeros((2, 2)), np.ones((2, 2)))
+    prior = GaussianMoments(np.zeros(2), np.ones((2, 2)) + 1e-9 * np.eye(2))
+    grid = TimeGrid(0.0, 1.0, 4)
+    return _run_passes(spec, SiteSet.zeros(grid, 2, []), prior, grid)
+
+
+def _split_cells_case():
+    # near-exact observations collapse the forward covariance at their
+    # nodes, so the backward pass splits the cells next to them
+    grid = TimeGrid(0.0, 2.0, 40)
+    values = [np.array([0.5, -0.2]), np.array([0.1, 0.3])]
+    sites = _gauss_sites(grid, [0.5, 1.5], values, 1e-6 * np.eye(2))
+    return _run_passes(linear_sde(A2, B2), sites, PRIOR2, grid)
+
+
+def _hooked_adf_case():
+    grid, obs_times, obs_values, R = _obs_case(200)
+    obs = [Observation(t, y) for t, y in zip(obs_times, obs_values)]
+    res = run_adf(linear_sde(A2, B2), obs, GaussianObs(R), None, PRIOR2,
+                  grid, smoothing=True)
+    rows = (res.smoothed.means, res.smoothed.covs, res.sites.obs_h,
+            res.sites.obs_J)
+    return rows, res.log_evidence, res.psd_repairs
+
+
+@pytest.mark.parametrize("case, repaired", [
+    (_benign_case, False), (_clamping_case, True),
+    (_split_cells_case, True), (_hooked_adf_case, False)],
+    ids=["benign", "clamping", "split-cells", "hooked-adf"])
+def test_guarded_rerun_is_bit_identical(case, repaired, monkeypatch):
+    rows, log_norm, repairs = case()
+    assert (repairs > 0) == repaired
+    monkeypatch.setattr(filtering, "_accepted", lambda *args: False)
+    guarded_rows, guarded_log_norm, guarded_repairs = case()
+    for a, b in zip(rows, guarded_rows):
+        assert a.tobytes() == b.tobytes()
+    assert guarded_log_norm == log_norm
+    assert guarded_repairs == repairs
+
+
+def test_split_cells_case_splits_cells(monkeypatch):
+    calls = []
+    smoothing = ClosedOdeRhs.smoothing
+
+    def counted(self, *args):
+        calls.append(1)
+        return smoothing(self, *args)
+
+    monkeypatch.setattr(ClosedOdeRhs, "smoothing", counted)
+    _split_cells_case()
+    assert len(calls) > 4 * 40   # four stages per step, 40 cells
+
+
+def test_accepted_pass_runs_no_per_step_guard(monkeypatch):
+    def guard(*args):
+        raise AssertionError("a per-step guard ran")
+
+    monkeypatch.setattr(filtering, "_repair", guard)
+    monkeypatch.setattr(filtering, "_check_finite", guard)
+    _benign_case()

@@ -532,6 +532,8 @@ def _rms(err: np.ndarray) -> float:
 def _replicate_job(args) -> dict:
     cfg, variance, seed_traj, seed_obs = args
     out = {"variance": variance, "seed": seed_traj, "error": None}
+    # the error string names the stage that raised
+    stage = "simulate"
     try:
         traj = gillespie(cfg.mjp, cfg.x0.astype(np.int64), cfg.t0, cfg.t1,
                          seed=seed_traj)
@@ -541,10 +543,10 @@ def _replicate_job(args) -> dict:
         nodes = np.array([grid.snap_index(t) for t in cfg.obs_times])
         truth_obs = traj.state_at(cfg.obs_times).astype(float)
         truth_path = traj.state_at(grid.times).astype(float)
-        for method in ("adf-s", "ep"):
-            res = _run_method(replace(cfg, method=method, obs_model=model,
+        for stage in ("adf-s", "ep"):
+            res = _run_method(replace(cfg, method=stage, obs_model=model,
                                       loss=None), obs, grid)
-            out[method] = {
+            out[stage] = {
                 "rmse_observations": _rms(res.smoothed.means[nodes]
                                           - truth_obs),
                 "rmse_path": _rms(res.smoothed.means - truth_path),
@@ -552,7 +554,7 @@ def _replicate_job(args) -> dict:
                 "converged": res.converged,
             }
     except NumericalError as err:
-        out["error"] = f"{type(err).__name__}: {err}"
+        out["error"] = f"{stage}: {type(err).__name__}: {err}"
     return out
 
 
@@ -582,11 +584,13 @@ def cmd_benchmark(cfg: ExperimentConfig, out=None, workers: int = 1
     else:
         results = [_replicate_job(j) for j in jobs]
 
-    n_failed = sum(1 for r in results if r["error"])
-    if n_failed > 0.1 * len(results):
+    failures = [r for r in results if r["error"]]
+    if len(failures) > 0.1 * len(results):
+        first = failures[0]
         raise NumericalError(
-            f"benchmark failed: {n_failed}/{len(results)} replicates "
-            "errored")
+            f"benchmark failed: {len(failures)}/{len(results)} replicates "
+            f"errored; the first at variance {first['variance']:g}, seed "
+            f"{first['seed']}: {first['error']}")
 
     rows = []
     for variance in cfg.variances:
@@ -635,6 +639,17 @@ def cmd_benchmark(cfg: ExperimentConfig, out=None, workers: int = 1
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epsde",
@@ -658,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exit 4 if the sweep loop does not converge")
     p = sub.add_parser("benchmark", help="RMSE comparison of EP and ADF-S")
     common(p)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="concurrent replicate processes")
     p = sub.add_parser("validate", help="check a config file and exit")
     p.add_argument("--config", required=True)

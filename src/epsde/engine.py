@@ -6,14 +6,20 @@ process written as the prior diffusion tilted by site factors: one
 canonical site per discrete observation and a piecewise-constant
 canonical site field for the continuous loss.
 
-run_ep iterates full parallel sweeps.  Each sweep runs one forward and
-one backward pass at the current sites, reads the smoothed marginal at
-every node, forms cavities for all sites from the same smoothed path,
-moment-matches the tilted distributions, and applies the damped update
-jointly.  Once the largest applied parameter change falls below the
-tolerance, or the sweep budget is spent, one more forward/backward
-evaluation at the fixed sites produces the returned marginals and the
-free-energy estimate of the log evidence.
+run_ep iterates full parallel sweeps.  Under init_mode "auto", a run
+with non-Gaussian observations and no continuous loss starts from the
+sites of one plain ADF pass (EP is ADF made iterative, with ADF as its
+first pass; Minka 2001).  Every other run starts from _init_sites:
+Gaussian observation sites are exact there already, and with a loss
+the continuous site field, not the observation sites, sets the sweep
+count.  Each sweep runs one forward and one backward pass at the
+current sites, reads the smoothed marginal at every node, forms
+cavities for all sites from the same smoothed path, moment-matches the
+tilted distributions, and applies the damped update jointly.  Once
+the largest applied parameter change falls below the tolerance, or the
+sweep budget is spent, one more forward/backward evaluation at the
+fixed sites produces the returned marginals and the free-energy
+estimate of the log evidence.
 
 run_adf is one forward pass (filtering.forward_pass) with a site hook,
 so ADF and EP run the same propagation kernel.  At each node the hook
@@ -75,8 +81,10 @@ class EpConfig:
 
     damping is the step size of every site update and tolerance the
     convergence threshold on the largest applied parameter change.
-    init_mode "auto" warm starts Gaussian observations and the loss (see
-    _init_sites); "zero" starts every site at zero.
+    init_mode "auto" starts non-Gaussian observation sites from one ADF
+    pass when there is no loss, and otherwise warm starts Gaussian
+    observations and the loss (see _init_sites); "zero" starts every
+    site at zero.
     """
 
     damping: float = 0.5
@@ -186,10 +194,12 @@ _QUARTIC_PRECISION = math.gamma(0.25) / math.gamma(0.75)
 
 def _init_sites(obs_model, values: np.ndarray, loss, grid: TimeGrid,
                 dim: int, idx: np.ndarray, cfg: EpConfig) -> SiteSet:
-    """Sites at the start of the sweeps: Gaussian observations and the
-    quadratic loss at their exact canonical parameters, the quartic loss
-    at its moment match against a flat measure, every other site at
-    zero.  init_mode "zero" starts every site at zero.
+    """Sites at the start of the sweeps, unless run_ep starts them from
+    an ADF pass (non-Gaussian observations, no loss, init_mode "auto"):
+    Gaussian observations and the quadratic loss at their exact
+    canonical parameters, the quartic loss at its moment match against a
+    flat measure, every other site at zero.  init_mode "zero" starts
+    every site at zero.
     """
     sites = SiteSet.zeros(grid, dim, idx)
     if cfg.init_mode == "zero":
@@ -274,17 +284,33 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
 
     Never raises on non-convergence: the result carries converged=False
     and the per-sweep change history instead.  Numerical failures
-    propagate with the sweep index attached; one raised in the final
-    evaluation at the returned sites carries sweep = sweeps_run + 1.
+    propagate with the sweep index attached; one raised in the starting
+    ADF pass carries sweep = 1, one raised in the final evaluation at
+    the returned sites sweep = sweeps_run + 1.  A site the ADF pass
+    skipped starts at zero, counts as never matched and adds to
+    skipped_updates; its PSD repairs add to psd_repairs.
     """
     cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
     idx, values = _snap_observations(obs, grid, dim)
-    sites = _init_sites(obs_model, values, loss, grid, dim, idx, cfg)
     counter = RepairCounter()
-
-    skipped = 0
-    obs_updated = np.zeros(len(idx), dtype=bool)
+    if (cfg.init_mode == "auto" and loss is None
+            and not isinstance(obs_model, GaussianObs)):
+        try:
+            adf = run_adf(spec, obs, obs_model, None, init, grid, cfg=cfg)
+        except (NonPositiveDefinite, DivergedMoments) as err:
+            err.sweep = 1
+            raise
+        sites = adf.sites
+        counter.add(adf.psd_repairs)
+        skipped = adf.skipped_updates
+        # ADF leaves the sites it skipped at zero; a matched site that
+        # happens to be zero behaves the same either way
+        obs_updated = sites.obs_h.any(axis=1) | sites.obs_J.any(axis=(1, 2))
+    else:
+        sites = _init_sites(obs_model, values, loss, grid, dim, idx, cfg)
+        skipped = 0
+        obs_updated = np.zeros(len(idx), dtype=bool)
     history = []
     converged = False
 

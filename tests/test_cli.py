@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from epsde import cli
 from epsde.cli import (
     cmd_benchmark,
     cmd_infer,
@@ -20,7 +21,7 @@ from epsde.cli import (
     write_observations,
     write_trajectory,
 )
-from epsde.errors import ConfigError
+from epsde.errors import ConfigError, DivergedMoments, NumericalError
 from epsde.filtering import MarginalPath
 from epsde.likelihoods import Observation
 
@@ -443,6 +444,68 @@ def test_benchmark_requires_jump_model(tmp_path):
     cfg = load_config(_write(tmp_path, LINEAR_YAML))
     with pytest.raises(ConfigError, match="jump"):
         cmd_benchmark(cfg, out=tmp_path / "out")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_benchmark_rejects_workers_below_one(tmp_path, capsys, workers):
+    path = _write(tmp_path, LV_SMALL_YAML)
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--config", str(path), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_benchmark_failure_names_method_and_first_replicate(tmp_path,
+                                                            monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergedMoments("moments diverged", time_index=5)
+
+    monkeypatch.setattr(cli, "run_ep", diverge)
+    text = """\
+model: lv
+horizon: {t0: 0.0, t1: 4.0}
+grid: {n_steps: 100}
+observations:
+  count: 4
+  model: {kind: log_normal, variance: 750.0}
+benchmark: {variances: [750.0], replicates: 1}
+seed: 7
+"""
+    cfg = load_config(_write(tmp_path, text))
+    error = "ep: DivergedMoments: moments diverged (grid node 5)"
+    assert cli._replicate_job((cfg, 750.0, 7, 8))["error"] == error
+    with pytest.raises(NumericalError) as exc:
+        cmd_benchmark(cfg, out=tmp_path / "out")
+    assert str(exc.value) == ("benchmark failed: 1/1 replicates errored; "
+                              f"the first at variance 750, seed 7: {error}")
+
+
+# the benchmark's Lotka-Volterra setup (see conftest.BENCHMARK_YAML)
+LV_BENCHMARK_YAML = """\
+model: lv
+grid: {n_steps: 1500}
+observations:
+  count: 10
+  model: {kind: log_normal, variance: 750.0}
+"""
+
+
+@pytest.mark.parametrize("seed", [20251863, 20251875, 20263839])
+def test_replicates_that_diverged_from_zero_sites_complete(tmp_path, seed):
+    # EP started from zero sites raised at sweep 2 on these replicates
+    # while ADF-S completed
+    cfg = load_config(_write(tmp_path, LV_BENCHMARK_YAML))
+    rep = cli._replicate_job((cfg, 750.0, seed, seed + 1))
+    assert rep["error"] is None
+    assert rep["ep"]["converged"]
+
+
+def test_ep_path_rmse_stays_near_adfs_on_replicate_20255869(tmp_path):
+    # EP started from zero sites converged to path RMSE 95.0 here,
+    # against ADF-S 22.8
+    cfg = load_config(_write(tmp_path, LV_BENCHMARK_YAML))
+    rep = cli._replicate_job((cfg, 750.0, 20255869, 20255870))
+    assert rep["ep"]["rmse_path"] <= 1.05 * rep["adf-s"]["rmse_path"]
 
 
 def test_benchmark_report_magnitudes_at_variance_750(lv_benchmark):

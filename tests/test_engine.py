@@ -206,9 +206,12 @@ def _assert_skipped_and_flagged(res):
     assert np.isnan(res.log_evidence)
 
 
-def test_ep_skips_untractable_site_and_flags_evidence():
-    _assert_skipped_and_flagged(
-        run_ep(*_untractable_case(), EpConfig(init_mode="zero")))
+@pytest.mark.parametrize("init_mode", ["auto", "zero"])
+def test_ep_skips_untractable_site_and_flags_evidence(init_mode):
+    res = run_ep(*_untractable_case(), EpConfig(init_mode=init_mode))
+    _assert_skipped_and_flagged(res)
+    # one skip per sweep, plus the ADF start's under "auto"
+    assert res.skipped_updates == res.sweeps_run + (init_mode == "auto")
 
 
 @pytest.mark.parametrize("smoothing", [False, True], ids=["adf", "adf-s"])
@@ -223,6 +226,19 @@ def test_divergence_names_grid_node_once_and_sweep():
     with pytest.raises(DivergedMoments) as exc:
         run_ep(spec, [], GaussianObs(np.eye(1)), None, prior,
                TimeGrid(0.0, 8.0, 400))
+    assert exc.value.sweep == 1
+    message = str(exc.value)
+    assert message.count("grid node") == 1 and "sweep 1" in message
+
+
+def test_divergence_in_adf_start_names_grid_node_once_and_sweep_1():
+    spec = linear_sde(np.array([[5.0]]), np.array([[0.1]]))
+    prior = GaussianMoments(np.array([1.0]), np.array([[1.0]]))
+    obs = [Observation(0.5, np.array([12.0]))]
+    with pytest.raises(DivergedMoments) as exc:
+        run_ep(spec, obs, LogNormalObs(750.0), None, prior,
+               TimeGrid(0.0, 8.0, 400))
+    assert any(entry.name == "run_adf" for entry in exc.traceback)
     assert exc.value.sweep == 1
     message = str(exc.value)
     assert message.count("grid node") == 1 and "sweep 1" in message

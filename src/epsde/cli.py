@@ -20,7 +20,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,15 @@ def _expect(mapping, path: str):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path or '<root>'}: expected a mapping, "
                           f"got {type(mapping).__name__}")
+
+
+def _known(mapping, path: str, keys) -> None:
+    """Reject a key outside keys, naming its path."""
+    _expect(mapping, path)
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key" if path
+                              else f"{key}: unknown key")
 
 
 def _get(mapping, key: str, path: str, default=..., kind=None):
@@ -120,12 +129,14 @@ def _build_model(node, path: str) -> tuple[MjpSpec | None, SdeSpec]:
     _expect(node, path)
     kind = _get(node, "kind", path, kind=str)
     if kind == "lv":
+        _known(node, path, ("kind", "k0", "k1", "k2", "k3"))
         k = [_get(node, name, path, default=d, kind=float)
              for name, d in (("k0", 5.0), ("k1", 0.3),
                              ("k2", 0.004), ("k3", 0.6))]
         mjp = lotka_volterra(*k)
         return mjp, cle_from_mjp(mjp)
     if kind == "linear":
+        _known(node, path, ("kind", "A", "b"))
         A = _array(_get(node, "A", path), f"{path}.A")
         b = _array(_get(node, "b", path), f"{path}.b")
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != b.shape:
@@ -133,6 +144,7 @@ def _build_model(node, path: str) -> tuple[MjpSpec | None, SdeSpec]:
                               "matrices")
         return None, linear_sde(A, b)
     if kind == "mjp":
+        _known(node, path, ("kind", "stoich", "rates"))
         stoich = _get(node, "stoich", path)
         try:
             stoich = np.asarray(stoich, dtype=np.int64)
@@ -147,14 +159,14 @@ def _build_model(node, path: str) -> tuple[MjpSpec | None, SdeSpec]:
         rates = []
         for i, r in enumerate(rates_node):
             rp = f"{path}.rates[{i}]"
-            _expect(r, rp)
+            _known(r, rp, ("terms",))
             terms = _get(r, "terms", rp)
             if not isinstance(terms, list):
                 raise ConfigError(f"{rp}.terms: expected a list")
             parsed = []
             for j, term in enumerate(terms):
                 tp = f"{rp}.terms[{j}]"
-                _expect(term, tp)
+                _known(term, tp, ("coeff", "expo"))
                 coeff = _get(term, "coeff", tp, kind=float)
                 expo = _get(term, "expo", tp)
                 expo = tuple(int(e) for e in np.atleast_1d(expo))
@@ -174,6 +186,7 @@ def _build_obs_model(node, path: str, dim: int):
     _expect(node, path)
     kind = _get(node, "kind", path, kind=str)
     if kind == "gaussian":
+        _known(node, path, ("kind", "R"))
         R = _array(_get(node, "R", path), f"{path}.R")
         if R.ndim == 0:
             R = R.reshape(1, 1)
@@ -187,6 +200,7 @@ def _build_obs_model(node, path: str, dim: int):
             raise ConfigError(f"{path}.R: must be positive definite") from None
         return GaussianObs(R)
     if kind == "log_normal":
+        _known(node, path, ("kind", "variance", "parameterization"))
         v = _get(node, "variance", path, kind=float)
         # NaN fails the comparison too
         if not 0.0 < v < np.inf:
@@ -206,10 +220,12 @@ def _build_loss(node, path: str, t0: float, t1: float):
     _expect(node, path)
     kind = _get(node, "kind", path, kind=str)
     if kind == "quadratic":
+        _known(node, path, ("kind", "A", "c"))
         A = _array(_get(node, "A", path), f"{path}.A")
         c = _array(_get(node, "c", path), f"{path}.c")
         return QuadraticLoss(A, c)
     if kind == "quartic":
+        _known(node, path, ("kind", "weight", "center", "window"))
         weight = _array(_get(node, "weight", path), f"{path}.weight")
         center = _array(_get(node, "center", path), f"{path}.center")
         window = _array(_get(node, "window", path), f"{path}.window")
@@ -238,7 +254,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid YAML: {err}") from None
     if raw is None:
         raw = {}
-    _expect(raw, "")
+    _known(raw, "", ("model", "horizon", "grid", "init", "x0", "observations",
+                     "loss", "method", "ep", "benchmark", "seed", "output"))
     flags = {}
 
     mjp, sde = _build_model(raw.get("model"), "model")
@@ -253,12 +270,14 @@ def load_config(path) -> ExperimentConfig:
         t0, t1 = 0.0, 30.0
         flags["horizon"] = True
     else:
+        _known(horizon, "horizon", ("t0", "t1"))
         t0 = _get(horizon, "t0", "horizon", default=0.0, kind=float)
         t1 = _get(horizon, "t1", "horizon", kind=float)
     if not t1 > t0:
         raise ConfigError("horizon: t1 must exceed t0")
 
     grid_node = raw.get("grid") or {}
+    _known(grid_node, "grid", ("n_steps",))
     n_steps = _get(grid_node, "n_steps", "grid", default=round(
         (t1 - t0) / 0.01), kind=int)
     if n_steps < 1:
@@ -270,6 +289,7 @@ def load_config(path) -> ExperimentConfig:
         cov = 100.0 * np.eye(dim)
         flags["init_moments"] = True
     else:
+        _known(init_node, "init", ("mean", "cov"))
         mean = _array(_get(init_node, "mean", "init"), "init.mean", (dim,))
         cov = _get(init_node, "cov", "init")
         cov = (float(cov) * np.eye(dim) if np.isscalar(cov)
@@ -288,7 +308,7 @@ def load_config(path) -> ExperimentConfig:
         x0 = _array(x0_node, "x0", (dim,))
 
     obs_node = raw.get("observations") or {}
-    _expect(obs_node, "observations")
+    _known(obs_node, "observations", ("times", "count", "model"))
     if "times" in obs_node:
         obs_times = _array(obs_node["times"], "observations.times")
         obs_times = np.atleast_1d(obs_times)
@@ -314,19 +334,14 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"method: must be one of {METHODS}")
 
     ep_node = raw.get("ep") or {}
-    _expect(ep_node, "ep")
-    known = {"damping", "tolerance", "max_sweeps", "eps_psd", "quad_order",
-             "init_mode"}
-    unknown = set(ep_node) - known
-    if unknown:
-        raise ConfigError(f"ep: unknown keys {sorted(unknown)}")
+    _known(ep_node, "ep", [f.name for f in fields(EpConfig)])
     try:
         ep = EpConfig(**ep_node)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"ep: {err}") from None
 
     bench = raw.get("benchmark") or {}
-    _expect(bench, "benchmark")
+    _known(bench, "benchmark", ("variances", "replicates"))
     variances = bench.get("variances", [750.0])
     try:
         variances = tuple(float(v) for v in variances)
@@ -417,11 +432,11 @@ def write_marginals(path, marg: MarginalPath) -> None:
                  np.column_stack((marg.times, pack(marg.means, marg.covs))))
 
 
-def read_marginals(path, kind: str = "smoothed") -> MarginalPath:
+def read_marginals(path) -> MarginalPath:
     table = _read_table(path, "marginals")
     # the columns are t, d means and d(d+1)/2 covariance entries
     dim = int(round((np.sqrt(9 + 8 * (table.shape[1] - 1)) - 3) / 2))
-    return MarginalPath(table[:, 0], *unpack(table[:, 1:], dim), kind=kind)
+    return MarginalPath(table[:, 0], *unpack(table[:, 1:], dim))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +474,7 @@ def _run_method(cfg: ExperimentConfig, obs: list[Observation],
         return run_ep(cfg.sde, obs, cfg.obs_model, cfg.loss, cfg.init, grid,
                       cfg.ep)
     return run_adf(cfg.sde, obs, cfg.obs_model, cfg.loss, cfg.init, grid,
-                   smoothing=cfg.method == "adf-s", cfg=cfg.ep)
+                   smoothing=cfg.method == "adf-s")
 
 
 def cmd_infer(cfg: ExperimentConfig, obs_file, out=None,

@@ -22,7 +22,7 @@ fixed sites produces the returned marginals and the free-energy
 estimate of the log evidence.
 
 run_adf is one forward pass (filtering.forward_pass) with a site hook,
-so ADF and EP run the same propagation kernel.  At each node the hook
+so ADF and EP run the same propagation kernel and guard policy.  At each node the hook
 sets the observation site that moves the marginal to the tilted one,
 and the continuous site of the cell starting there from the filtered
 moments.  With smoothing enabled a backward pass follows; the realized
@@ -77,35 +77,33 @@ from .processes import SdeSpec
 
 @dataclass(frozen=True)
 class EpConfig:
-    """Knobs for the sweep loop and the shared numerics.
+    """Knobs of EP's sweep loop; ADF has none.
 
-    damping is the step size of every site update and tolerance the
-    convergence threshold on the largest applied parameter change.
-    init_mode "auto" starts non-Gaussian observation sites from one ADF
-    pass when there is no loss, and otherwise warm starts Gaussian
-    observations and the loss (see _init_sites); "zero" starts every
-    site at zero.
+    damping is the step size of every site update, tolerance the
+    convergence threshold on the largest applied parameter change and
+    max_sweeps the sweep budget.  init_mode "auto" starts non-Gaussian
+    observation sites from one ADF pass when there is no loss, and
+    otherwise warm starts Gaussian observations and the loss (see
+    _init_sites); "zero" starts every site at zero.  The numerics EP
+    shares with ADF are fixed: the PSD floor (gaussian.PSD_FLOOR) and
+    the quadrature order (tilted_moments' default).
     """
 
     damping: float = 0.5
     tolerance: float = 0.01
     max_sweeps: int = 50
-    eps_psd: float = 1e-8
-    quad_order: int = 32
     init_mode: str = "auto"
 
     def __post_init__(self):
         # NaN fails every comparison below, so it is rejected too
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        for name in ("tolerance", "eps_psd"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        for name in ("max_sweeps", "quad_order"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, Integral)
-                    or value < 1):
-                raise ValueError(f"{name} must be an integer of at least 1")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be finite and positive")
+        if (isinstance(self.max_sweeps, bool)
+                or not isinstance(self.max_sweeps, Integral)
+                or self.max_sweeps < 1):
+            raise ValueError("max_sweeps must be an integer of at least 1")
         if self.init_mode not in ("auto", "zero"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
@@ -164,8 +162,9 @@ def _cavity_degenerate(cav_J: np.ndarray, marginal_J: np.ndarray) -> bool:
 
 
 def _match_site(obs_model, y: np.ndarray, marginal: GaussianMoments,
-                h: np.ndarray, J: np.ndarray, cfg: EpConfig, counter):
-    """Moment-match the observation site (h, J) at a marginal.
+                h, J, counter):
+    """Moment-match the observation site (h, J) at a marginal; h = J = 0.0
+    matches against the marginal itself.
 
     Returns the proposed site (h, J) that moves the cavity to the tilted
     moments, the tilted moments and the tilted log partition, or None
@@ -178,9 +177,7 @@ def _match_site(obs_model, y: np.ndarray, marginal: GaussianMoments,
             and _cavity_degenerate(cavity.J, nat.J)):
         return None
     try:
-        tilted, log_z = tilted_moments(
-            obs_model, y, cavity, quad_order=cfg.quad_order,
-            eps_psd=cfg.eps_psd, counter=counter)
+        tilted, log_z = tilted_moments(obs_model, y, cavity, counter=counter)
     except (ImproperCavity, QuadratureUnderflow):
         return None
     post = moments_to_canonical(tilted)
@@ -262,15 +259,14 @@ def free_energy(fwd_log_norm: float, sites: SiteSet, smoothed: MarginalPath,
 
 
 def _log_evidence(obs_model, values, sites: SiteSet, log_norm: float,
-                  path: MarginalPath, grid: TimeGrid, loss, cfg: EpConfig,
-                  counter) -> float:
+                  path: MarginalPath, grid: TimeGrid, loss, counter) -> float:
     """Free energy at the sites and the path a method reports, with the
     tilted log partitions taken at that path's cavities; NaN when any
     site cannot be matched there."""
     tilted = np.empty(len(values))
     for s, k in enumerate(sites.obs_idx):
         matched = _match_site(obs_model, values[s], path.node(int(k)),
-                              sites.obs_h[s], sites.obs_J[s], cfg, counter)
+                              sites.obs_h[s], sites.obs_J[s], counter)
         if matched is None:
             return float("nan")
         tilted[s] = matched[3]
@@ -297,7 +293,7 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     if (cfg.init_mode == "auto" and loss is None
             and not isinstance(obs_model, GaussianObs)):
         try:
-            adf = run_adf(spec, obs, obs_model, None, init, grid, cfg=cfg)
+            adf = run_adf(spec, obs, obs_model, None, init, grid)
         except (NonPositiveDefinite, DivergedMoments) as err:
             err.sweep = 1
             raise
@@ -317,14 +313,12 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     # sweep max_sweeps + 1 only evaluates the final state
     for sweep in range(1, cfg.max_sweeps + 2):
         try:
-            fwd = forward_pass(spec, sites, init, grid, eps_psd=cfg.eps_psd,
-                               counter=counter)
-            smoothed = backward_pass(spec, fwd, grid, eps_psd=cfg.eps_psd,
-                                     counter=counter)
+            fwd = forward_pass(spec, sites, init, grid, counter=counter)
+            smoothed = backward_pass(spec, fwd, counter=counter)
             if converged or sweep > cfg.max_sweeps:
                 log_evidence = _log_evidence(obs_model, values, sites,
                                              fwd.log_norm, smoothed, grid,
-                                             loss, cfg, counter)
+                                             loss, counter)
                 break
 
             prop_obs_h = sites.obs_h.copy()
@@ -332,7 +326,7 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             for s, k in enumerate(idx):
                 matched = _match_site(obs_model, values[s],
                                       smoothed.node(int(k)), sites.obs_h[s],
-                                      sites.obs_J[s], cfg, counter)
+                                      sites.obs_J[s], counter)
                 if matched is not None:
                     prop_obs_h[s], prop_obs_J[s] = matched[:2]
                     obs_updated[s] = True
@@ -377,36 +371,38 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
 
 
 def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
-            init: GaussianMoments, grid: TimeGrid, smoothing: bool = False,
-            cfg: EpConfig | None = None) -> EpResult:
+            init: GaussianMoments, grid: TimeGrid,
+            smoothing: bool = False) -> EpResult:
     """Single-sweep assumed density filtering, optionally smoothed.
 
     The forward pass runs with a hook that, at each observation node,
     matches the site that moves the marginal to the tilted one (its
-    cavity is the marginal itself, the site still being zero), and
-    computes the continuous site of each cell from the moments at its
-    left node.  The log evidence is the free energy at the reported
-    path: the smoothed one for adf-s, the filtered one for plain adf;
-    it is NaN when a site cannot be matched there.
+    cavity is the marginal itself, a zero site), and computes the
+    continuous site of each cell from the moments at its left node.  A
+    site that cannot be matched is left at zero and counted as skipped.
+    The hook reads only the marginal, so the pass may replay it (see
+    filtering.forward_pass).  The log evidence is the free energy at
+    the reported path: the smoothed one for adf-s, the filtered one for
+    plain adf; it is NaN when a site cannot be matched there.
     """
-    cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
     idx, values = _snap_observations(obs, grid, dim)
     sites = SiteSet.zeros(grid, dim, idx)
     counter = RepairCounter()
     times = grid.times
     obs_slot = {int(i): s for s, i in enumerate(idx)}
-    skipped = 0
+    unmatched = np.zeros(len(idx), dtype=bool)
 
     def match_sites(k, mean, cov):
-        nonlocal skipped
         s = obs_slot.get(k)
         if s is not None:
             matched = _match_site(obs_model, values[s],
-                                  GaussianMoments(mean, cov), sites.obs_h[s],
-                                  sites.obs_J[s], cfg, counter)
+                                  GaussianMoments(mean, cov), 0.0, 0.0,
+                                  counter)
+            unmatched[s] = matched is None
             if matched is None:
-                skipped += 1
+                sites.obs_h[s] = 0.0
+                sites.obs_J[s] = 0.0
             else:
                 sites.obs_h[s], sites.obs_J[s], tm, _ = matched
                 mean, cov = tm.mean, tm.cov
@@ -416,17 +412,17 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             sites.cont_h[k] = lam.h
             sites.cont_J[k] = lam.J
 
-    fwd = forward_pass(spec, sites, init, grid, eps_psd=cfg.eps_psd,
-                       counter=counter, site_hook=match_sites)
+    fwd = forward_pass(spec, sites, init, grid, counter=counter,
+                       site_hook=match_sites)
     path = fwd.filtered
     if smoothing:
-        path = backward_pass(spec, fwd, grid, eps_psd=cfg.eps_psd,
-                             counter=counter)
+        path = backward_pass(spec, fwd, counter=counter)
     log_evidence = _log_evidence(obs_model, values, sites, fwd.log_norm, path,
-                                 grid, loss, cfg, counter)
+                                 grid, loss, counter)
 
     return EpResult(smoothed=path, sites=sites, log_evidence=log_evidence,
                     sweeps_run=1, converged=True,
                     max_site_delta_history=np.zeros(0),
-                    psd_repairs=counter.count, skipped_updates=skipped,
+                    psd_repairs=counter.count,
+                    skipped_updates=int(unmatched.sum()),
                     method="adf-s" if smoothing else "adf")

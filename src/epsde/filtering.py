@@ -8,16 +8,17 @@ factorization needs it: site updates, the guards and the forward
 reference precisions.  Stored rows are unpacked once per pass.
 
 Two guards watch every integration step: the PSD guard clamps
-covariance eigenvalues below eps_psd (gaussian.repair_psd), and the
-divergence guard raises DivergedMoments at a node whose moments left
-the trust region.  They are checked once per pass: a pass first runs
-with both off, under numpy's raise-on-error state, keeping every state
-they would have seen, and is accepted when one batched test shows
-that no guard would have acted, in which case the guarded pass would
-have computed exactly the same.  Otherwise, or when that run fails,
-the pass runs again with a guard after every step, which repairs,
-counts and raises as before.  A forward pass with a site hook always
-runs guarded, since the hook acts on the sites as it goes.
+covariance eigenvalues below gaussian.PSD_FLOOR (gaussian.repair_psd),
+and the divergence guard raises DivergedMoments at a node whose moments
+left the trust region.  Every pass, with or without a site hook, checks
+them once: it first runs with both off, under numpy's raise-on-error
+state, keeping every state they would have seen, and is accepted when
+one batched test shows that no guard would have acted, in which case
+the guarded pass would have computed exactly the same.  Otherwise, or
+when that run fails, the repair counter is rewound and the pass runs
+again with a guard after every step, which repairs, counts and raises
+as before.  A site hook is therefore replayed on that second run and
+must set the same sites from the same marginals.
 
 The forward pass integrates the closed moment equations cell by cell
 with classical fourth-order Runge-Kutta and applies site factors as
@@ -128,7 +129,6 @@ class MarginalPath:
     times: np.ndarray
     means: np.ndarray    # (n_nodes, d)
     covs: np.ndarray     # (n_nodes, d, d)
-    kind: str = "filtered"
 
     def node(self, k: int) -> GaussianMoments:
         return GaussianMoments(self.means[k], self.covs[k])
@@ -147,8 +147,7 @@ class ForwardPassResult:
 
     @property
     def filtered(self) -> MarginalPath:
-        return MarginalPath(self.grid.times, self.post_means,
-                            self.post_covs, kind="filtered")
+        return MarginalPath(self.grid.times, self.post_means, self.post_covs)
 
 
 def apply_canonical_site(mean: np.ndarray, cov: np.ndarray, h: np.ndarray,
@@ -199,12 +198,12 @@ def _rk4_stages(rhs, y, h, refs):
     return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _repair(y, d, eps_psd, counter):
+def _repair(y, d, counter):
     """The PSD guard on a packed state.  An unpacked covariance is exactly
     symmetric, so unless the guard clamped (and counted), it returned
     the state unchanged."""
     repairs = counter.count
-    mean, cov = repair_psd(*unpack(y, d), eps_psd, counter)
+    mean, cov = repair_psd(*unpack(y, d), counter=counter)
     return y if counter.count == repairs else pack(mean, cov)
 
 
@@ -218,33 +217,36 @@ def _check_finite(y, k):
         raise DivergedMoments("moments diverged", time_index=k)
 
 
-def _accepted(repaired, checked, d, eps_psd) -> bool:
+def _accepted(repaired, checked, d) -> bool:
     """Whether neither guard would have acted on a pass: every state the
     PSD guard saw (packed rows) and every state the divergence guard saw
     is bounded, and the former are all above the PSD floor."""
     return (_bounded(repaired) and _bounded(checked)
-            and above_psd_floor(unpack(repaired, d)[1], eps_psd))
+            and above_psd_floor(unpack(repaired, d)[1]))
 
 
-def _guarded(run, d, eps_psd):
+def _guarded(run, d, counter):
     """Result of a pass checked once, see the module docstring.
 
     run(guard) runs the pass with or without its per-step guards and
     returns its result with the two kinds of states _accepted tests.
     """
+    start = counter.count
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             result, repaired, checked = run(False)
-        if _accepted(repaired, checked, d, eps_psd):
+        if _accepted(repaired, checked, d):
             return result
     except (FloatingPointError, NumericalError):
         pass
+    # repairs the discarded run counted (in a site hook's quadrature)
+    # are counted again by the replay
+    counter.count = start
     return run(True)[0]
 
 
 def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
-                 grid: TimeGrid, *, eps_psd: float = 1e-8,
-                 counter: RepairCounter | None = None,
+                 grid: TimeGrid, *, counter: RepairCounter | None = None,
                  site_hook=None) -> ForwardPassResult:
     """Propagate the initial marginal through flow and sites over the grid.
 
@@ -252,6 +254,8 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
     the marginal after the continuous site and before the discrete one.
     It may set the node's discrete site and the continuous site of cell
     k (sites.cont_h[k], sites.cont_J[k]), which the pass then applies.
+    The pass may run twice, so the sites a hook sets must depend on the
+    marginals alone, not on what it set before.
     """
     rhs = closed_rhs(spec)
     d = spec.dim
@@ -280,7 +284,7 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
             if k > 0:
                 y = _rk4(rhs.forward, y, dt)
                 if guard:
-                    y = _repair(y, d, eps_psd, counter)
+                    y = _repair(y, d, counter)
             flow[k] = y
             if k > 0 and cont_on[k - 1]:   # site of the cell ending here
                 y = site(y, sites.cont_h[k - 1], sites.cont_J[k - 1], dt, k)
@@ -300,21 +304,15 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
                                   *unpack(post, d), log_norm),
                 flow[1:], post)
 
-    if site_hook is not None:
-        return run(True)[0]
-    return _guarded(run, d, eps_psd)
+    return _guarded(run, d, counter)
 
 
-def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
-                  grid: TimeGrid | None = None, *,
-                  eps_psd: float = 1e-8,
+def backward_pass(spec: SdeSpec, fwd: ForwardPassResult, *,
                   counter: RepairCounter | None = None) -> MarginalPath:
-    """Integrate the smoothing equations backward against a forward pass.
-
-    The grid defaults to the one the forward pass ran on.
-    """
+    """Integrate the smoothing equations backward against a forward pass,
+    on the forward pass's grid."""
     rhs = closed_rhs(spec)
-    grid = fwd.grid if grid is None else grid
+    grid = fwd.grid
     if counter is None:
         counter = RepairCounter()
     N = grid.n_steps
@@ -372,7 +370,7 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
             if n_sub == 1:
                 y = _rk4_stages(rhs, y, -dt, refs[k])
                 if guard:
-                    y = _repair(y, d, eps_psd, counter)
+                    y = _repair(y, d, counter)
             else:
                 h = -dt / n_sub
                 for j in range(n_sub - 1, -1, -1):
@@ -380,13 +378,13 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult,
                                   j / n_sub])
                     y = _rk4_stages(rhs, y, h, hermite_refs(k, s)[0])
                     if guard:
-                        y = _repair(y, d, eps_psd, counter)
+                        y = _repair(y, d, counter)
                     elif j:
                         inner.append(y)
             if guard:
                 _check_finite(y, k)
             rows[k] = y
-        path = MarginalPath(grid.times, *unpack(rows, d), kind="smoothed")
+        path = MarginalPath(grid.times, *unpack(rows, d))
         return path, np.vstack((rows[:N], *inner)), rows[:N]
 
-    return _guarded(run, d, eps_psd)
+    return _guarded(run, d, counter)

@@ -25,6 +25,13 @@ from .errors import NonPositiveDefinite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# The PSD guard clamps covariance eigenvalues up to this absolute floor.
+# Variances of the modelled states are many orders larger, so the clamp
+# only catches roundoff undershoots of integration steps and quadrature
+# moments, and keeps every covariance it passes factorizable; a point
+# mass started at the floor (1e-8 I) is left as it is.
+PSD_FLOOR = 1e-8
+
 
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
@@ -135,7 +142,7 @@ def _identity(d: int) -> np.ndarray:
     return np.identity(d)
 
 
-def above_psd_floor(cov: np.ndarray, eps_psd: float) -> bool:
+def above_psd_floor(cov: np.ndarray, eps_psd: float = PSD_FLOOR) -> bool:
     """The PSD guard's accept test: whether cov - eps_psd I has a
     Cholesky factor, for one symmetric matrix or every one of a stack.
 
@@ -149,7 +156,7 @@ def above_psd_floor(cov: np.ndarray, eps_psd: float) -> bool:
     return True
 
 
-def repair_psd(mean: np.ndarray, cov: np.ndarray, eps_psd: float = 1e-8,
+def repair_psd(mean: np.ndarray, cov: np.ndarray, eps_psd: float = PSD_FLOOR,
                counter: RepairCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Clamp covariance eigenvalues below eps_psd, counting the repair.
 

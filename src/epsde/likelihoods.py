@@ -163,7 +163,7 @@ def _gh_nodes(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tilted_moments(model, y, cavity: GaussianCanonical, *,
-                   quad_order: int = 32, eps_psd: float = 1e-8,
+                   quad_order: int = 32,
                    counter: RepairCounter | None = None
                    ) -> tuple[GaussianMoments, float]:
     """Moments and log-partition of p(y | x) exp(cavity . f(x)).
@@ -212,7 +212,7 @@ def tilted_moments(model, y, cavity: GaussianCanonical, *,
         mean_t = (w @ x) / s0
         diffs = x - mean_t
         cov_t = (w[:, None] * diffs).T @ diffs / s0
-        mean_t, cov_t = repair_psd(mean_t, cov_t, eps_psd, counter)
+        mean_t, cov_t = repair_psd(mean_t, cov_t, counter=counter)
         log_z = log_partition(cavity) + m + float(np.log(s0))
         return GaussianMoments(mean_t, cov_t), log_z
 

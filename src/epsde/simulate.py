@@ -1,11 +1,9 @@
 """Stochastic simulation: exact jump paths, diffusion paths, observations.
 
 The jump simulator draws exact trajectories of a Markov jump process by
-sampling exponential waiting times from the total rate.  The ensemble
-variant advances all paths in lockstep with vectorized rate evaluation,
-which is the cheap way to get ground-truth moment estimates from 1e4+
-paths.  Diffusion paths use fixed-step Euler-Maruyama; when the process
-carries jump-process provenance the noise is assembled directly from
+sampling exponential waiting times from the total rate.  Diffusion
+paths use fixed-step Euler-Maruyama; when the process carries
+jump-process provenance the noise is assembled directly from
 per-reaction rates (clamped at zero where the continuous state has gone
 slightly negative), which keeps the diffusion factorization exact.
 
@@ -117,78 +115,6 @@ def gillespie(mjp: MjpSpec, n0, t0: float, t1: float, *, seed: int,
                 f"jump path exceeded {max_events} events before t={t1}")
     return JumpTrajectory(np.asarray(times), np.asarray(path),
                           float(t1), seed)
-
-
-def gillespie_ensemble(mjp: MjpSpec, n0, t0: float, t1: float, grid,
-                       *, n_paths: int, seed: int,
-                       max_events: int = 50_000_000) -> np.ndarray:
-    """States of n_paths exact jump paths at the given grid times.
-
-    Paths advance in lockstep: each iteration draws one event per still
-    active path, with rates evaluated for all paths at once.  Returns an
-    array of shape (n_paths, len(grid), dim).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size and (grid[0] < t0 or grid[-1] > t1):
-        raise ValueError("grid times must lie inside [t0, t1]")
-    rng = make_rng(seed)
-    d, n_rx = mjp.dim, mjp.n_reactions
-    cols = np.ascontiguousarray(mjp.stoich.T, dtype=np.int64)   # (R, d)
-    state = np.broadcast_to(np.asarray(n0, dtype=np.int64),
-                            (n_paths, d)).copy()
-    t = np.full(n_paths, float(t0))
-    out = np.empty((n_paths, len(grid), d), dtype=np.int64)
-    ptr = np.zeros(n_paths, dtype=np.int64)     # next grid slot to fill
-    active = np.ones(n_paths, dtype=bool)
-    total_events = 0
-    n_grid = len(grid)
-
-    def flush(upto: np.ndarray) -> None:
-        # record current state at every grid time strictly before upto
-        while True:
-            can = ptr < n_grid
-            mask = can & (grid[np.minimum(ptr, n_grid - 1)] < upto)
-            if not mask.any():
-                return
-            rows = np.nonzero(mask)[0]
-            out[rows, ptr[rows]] = state[rows]
-            ptr[rows] += 1
-
-    while active.any():
-        g = np.empty((n_paths, n_rx))
-        for r, rate in enumerate(mjp.rates):
-            g[:, r] = evaluate_polynomial(rate, state)
-        if (g[active] < 0.0).any():
-            raise NegativeRate("negative reaction rate in ensemble")
-        total = g.sum(axis=1)
-        absorbed = active & (total <= 0.0)
-        if absorbed.any():
-            t[absorbed] = np.inf
-            active &= ~absorbed
-        if not active.any():
-            break
-        dt = np.full(n_paths, np.inf)
-        dt[active] = rng.exponential(size=int(active.sum())) / total[active]
-        t_next = t + dt
-        done = active & (t_next > t1)
-        flush(np.where(active, np.minimum(t_next, np.inf), t))
-        if done.any():
-            t[done] = np.inf
-            active &= ~done
-        if not active.any():
-            break
-        u = rng.random(n_paths) * total
-        cum = np.cumsum(g, axis=1)
-        r_idx = np.minimum((cum < u[:, None]).sum(axis=1), n_rx - 1)
-        rows = np.nonzero(active)[0]
-        state[rows] += cols[r_idx[rows]]
-        t[rows] = t_next[rows]
-        total_events += len(rows)
-        if total_events > max_events:
-            raise DivergedPath(
-                f"ensemble exceeded {max_events} total events")
-    flush(np.full(n_paths, np.inf))
-    return out
 
 
 def euler_maruyama(sde: SdeSpec, x0, t0: float, t1: float, *,

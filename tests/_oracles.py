@@ -3,8 +3,9 @@
 Everything here is deliberately written against different primitives than
 the package (Gauss-Jordan elimination instead of Cholesky, matrix
 exponentials and discrete-time Kalman recursions instead of moment ODEs,
-numeric Isserlis recursions instead of compiled symbolic expansions) so
-that agreement is meaningful.
+numeric Isserlis recursions instead of compiled symbolic expansions, a
+lockstep ensemble with its own rate evaluation instead of the one-path
+jump simulator) so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from math import comb
 
 import numpy as np
 from scipy.linalg import expm
+
+from epsde.errors import DivergedPath, NegativeRate
 
 # the total polynomial degree the package's closure supports
 MAX_DEGREE = 8
@@ -214,3 +217,83 @@ def gaussian_expectation(p, m) -> float:
                 acc += w * cm
         total += c * acc
     return float(total)
+
+
+def _ensemble_rates(mjp, state: np.ndarray) -> np.ndarray:
+    """Reaction rates (n_paths, n_reactions) of every path's state, each
+    rate summed term by term from its coefficients and exponents."""
+    x = state.astype(float)
+    g = np.zeros((len(state), mjp.n_reactions))
+    for r, rate in enumerate(mjp.rates):
+        for c, e in rate.terms():
+            g[:, r] += np.prod(x ** np.array(e), axis=1) * c
+    return g
+
+
+def gillespie_ensemble(mjp, n0, t0: float, t1: float, grid, *, n_paths: int,
+                       seed: int, max_events: int = 50_000_000) -> np.ndarray:
+    """States of n_paths exact jump paths at the given grid times.
+
+    Paths advance in lockstep: each iteration draws one event per still
+    active path, with rates evaluated for all paths at once.  Returns an
+    array of shape (n_paths, len(grid), dim).
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.size and (grid[0] < t0 or grid[-1] > t1):
+        raise ValueError("grid times must lie inside [t0, t1]")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    d, n_rx = mjp.dim, mjp.n_reactions
+    cols = np.ascontiguousarray(mjp.stoich.T, dtype=np.int64)   # (R, d)
+    state = np.broadcast_to(np.asarray(n0, dtype=np.int64),
+                            (n_paths, d)).copy()
+    t = np.full(n_paths, float(t0))
+    out = np.empty((n_paths, len(grid), d), dtype=np.int64)
+    ptr = np.zeros(n_paths, dtype=np.int64)     # next grid slot to fill
+    active = np.ones(n_paths, dtype=bool)
+    total_events = 0
+    n_grid = len(grid)
+
+    def flush(upto: np.ndarray) -> None:
+        # record current state at every grid time strictly before upto
+        while True:
+            can = ptr < n_grid
+            mask = can & (grid[np.minimum(ptr, n_grid - 1)] < upto)
+            if not mask.any():
+                return
+            rows = np.nonzero(mask)[0]
+            out[rows, ptr[rows]] = state[rows]
+            ptr[rows] += 1
+
+    while active.any():
+        g = _ensemble_rates(mjp, state)
+        if (g[active] < 0.0).any():
+            raise NegativeRate("negative reaction rate in ensemble")
+        total = g.sum(axis=1)
+        absorbed = active & (total <= 0.0)
+        if absorbed.any():
+            t[absorbed] = np.inf
+            active &= ~absorbed
+        if not active.any():
+            break
+        dt = np.full(n_paths, np.inf)
+        dt[active] = rng.exponential(size=int(active.sum())) / total[active]
+        t_next = t + dt
+        done = active & (t_next > t1)
+        flush(np.where(active, t_next, t))
+        if done.any():
+            t[done] = np.inf
+            active &= ~done
+        if not active.any():
+            break
+        u = rng.random(n_paths) * total
+        cum = np.cumsum(g, axis=1)
+        r_idx = np.minimum((cum < u[:, None]).sum(axis=1), n_rx - 1)
+        rows = np.nonzero(active)[0]
+        state[rows] += cols[r_idx[rows]]
+        t[rows] = t_next[rows]
+        total_events += len(rows)
+        if total_events > max_events:
+            raise DivergedPath(
+                f"ensemble exceeded {max_events} total events")
+    flush(np.full(n_paths, np.inf))
+    return out

@@ -22,12 +22,11 @@ from epsde.likelihoods import GaussianObs, LogNormalObs, Observation, \
     tilted_moments
 from epsde.processes import MjpSpec, PolynomialMap, cle_from_mjp, \
     linear_sde, lotka_volterra
-from epsde.simulate import gillespie, gillespie_ensemble, make_rng, \
-    sample_observations
+from epsde.simulate import gillespie, make_rng, sample_observations
 
 import conftest
-from _oracles import linear_gaussian_reference, mean_params, \
-    ou_exact_moments
+from _oracles import gillespie_ensemble, linear_gaussian_reference, \
+    mean_params, ou_exact_moments
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import epsde.filtering as filtering
 from epsde.engine import EpConfig, EpResult, free_energy, run_adf, run_ep
 from epsde.errors import DivergedMoments
 from epsde.filtering import SiteSet, TimeGrid, forward_pass
@@ -218,6 +219,39 @@ def test_ep_skips_untractable_site_and_flags_evidence(init_mode):
 def test_adf_skips_untractable_site_and_flags_evidence(smoothing):
     _assert_skipped_and_flagged(
         run_adf(*_untractable_case(), smoothing=smoothing))
+
+
+def _near_exact_lv_case():
+    # log-normal observations far sharper than the prior: the quadrature
+    # collapses the tilted covariances and its PSD guard repairs them
+    spec = cle_from_mjp(lotka_volterra())
+    prior = GaussianMoments(np.array([100.0, 100.0]), 100.0 * np.eye(2))
+    obs = [Observation(1.0, np.array([103.0, 97.0])),
+           Observation(2.0, np.array([120.0, 90.0]))]
+    return spec, obs, LogNormalObs(1e-4), None, prior, TimeGrid(0.0, 3.0, 300)
+
+
+def _adf_outputs(res):
+    arrays = (res.smoothed.means, res.smoothed.covs, res.sites.obs_h,
+              res.sites.obs_J, res.sites.cont_h, res.sites.cont_J)
+    return ([a.tobytes() for a in arrays], repr(res.log_evidence),
+            res.psd_repairs, res.skipped_updates)
+
+
+@pytest.mark.parametrize("case, skips, repaired", [
+    (_untractable_case, 1, False), (_near_exact_lv_case, 0, True)],
+    ids=["untractable", "lv-near-exact"])
+@pytest.mark.parametrize("smoothing", [False, True], ids=["adf", "adf-s"])
+def test_adf_forward_pass_replays_bit_identically(case, skips, repaired,
+                                                 smoothing, monkeypatch):
+    # a discarded first run leaves its sites and repair counts behind;
+    # the replayed pass must neither read nor count them again
+    res = run_adf(*case(), smoothing=smoothing)
+    assert res.skipped_updates == skips
+    assert (res.psd_repairs > 0) == repaired
+    monkeypatch.setattr(filtering, "_accepted", lambda *args: False)
+    assert _adf_outputs(run_adf(*case(), smoothing=smoothing)) \
+        == _adf_outputs(res)
 
 
 def test_divergence_names_grid_node_once_and_sweep():

@@ -159,7 +159,6 @@ def test_backward_matches_rts_smoother():
     ref = linear_gaussian_reference(A2, B2, PRIOR2.mean, PRIOR2.cov,
                                     0.0, 5.0, grid.n_steps, obs_times,
                                     obs_values, R)
-    assert smoothed.kind == "smoothed"
     np.testing.assert_allclose(smoothed.means, ref["smoothed_means"],
                                atol=1e-7)
     np.testing.assert_allclose(smoothed.covs, ref["smoothed_covs"],
@@ -355,7 +354,7 @@ def _benign_case():
 
 def _clamping_case():
     # a rank-one diffusion along a nearly rank-one covariance: the guard
-    # keeps clamping the other eigenvalue up to eps_psd
+    # keeps clamping the other eigenvalue up to the PSD floor
     spec = linear_sde(np.zeros((2, 2)), np.ones((2, 2)))
     prior = GaussianMoments(np.zeros(2), np.ones((2, 2)) + 1e-9 * np.eye(2))
     grid = TimeGrid(0.0, 1.0, 4)

@@ -27,10 +27,11 @@ from epsde.simulate import (
     euler_maruyama,
     euler_maruyama_ensemble,
     gillespie,
-    gillespie_ensemble,
     observe_states,
     sample_observations,
 )
+
+from _oracles import gillespie_ensemble
 
 
 def _pure_birth(rate=4.0):

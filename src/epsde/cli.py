@@ -3,7 +3,10 @@
 Configuration is a single YAML file.  Parsing reports the full key path
 of any problem and the exit code tells scripts what went wrong: 0
 success, 2 configuration error, 3 numerical failure, 4 non-convergence
-under --require-convergence.
+under --require-convergence.  A kinded section (model, observations
+model, loss) is built by the constructor its kind names in a table, with
+its other keys as the keyword arguments; that constructor checks the
+values, and load_config checks only what needs the rest of the file.
 
 Emitted artifacts are plain CSV (17 significant digits, lossless for
 float64 round-trips) plus a diagnostics JSON per inference run.  Any
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -30,7 +34,7 @@ from .closure import closed_rhs, pack, unpack
 from .engine import EpConfig, EpResult, run_adf, run_ep
 from .errors import ConfigError, NotConverged, NumericalError
 from .filtering import MarginalPath, TimeGrid
-from .gaussian import GaussianMoments
+from .gaussian import GaussianMoments, finite_array, symmetric_pd
 from .likelihoods import (
     GaussianObs,
     LogNormalObs,
@@ -87,16 +91,73 @@ def _get(mapping, key: str, path: str, default=..., kind=None):
     return value
 
 
+def _integer(mapping, key: str, path: str, default: int, least=0) -> int:
+    """The reader of every integer key: a bool, a number with a fraction
+    or one below least is an error, not truncated."""
+    value = _get(mapping, key, path, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        where = f"{path}.{key}" if path else key
+        raise ConfigError(f"{where}: expected an integer of at least "
+                          f"{least}, got {value!r}")
+    return value
+
+
 def _array(value, path: str, shape=None) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected numbers") from None
-    if shape is not None and arr.shape != shape:
-        raise ConfigError(f"{path}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}: values must be finite")
-    return arr
+        return finite_array(value, path, shape)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
+def _mjp(stoich, rates) -> MjpSpec:
+    """The mjp model section: a stoichiometry matrix and, per reaction,
+    a rate {terms: [{coeff, expo}, ...]}."""
+    stoich = finite_array(stoich, "stoich")
+    if stoich.ndim != 2:
+        raise ValueError("stoich: expected a 2-D matrix")
+    if not isinstance(rates, list) or not rates:
+        raise ValueError("rates: expected a non-empty list")
+    polys = []
+    for i, rate in enumerate(rates):
+        rp = f"rates[{i}]"
+        _known(rate, rp, ("terms",))
+        parsed = []
+        for j, term in enumerate(_get(rate, "terms", rp, kind=list)):
+            tp = f"{rp}.terms[{j}]"
+            _known(term, tp, ("coeff", "expo"))
+            coeff = finite_array(_get(term, "coeff", tp), f"{tp}.coeff", ())
+            expo = finite_array(_get(term, "expo", tp), f"{tp}.expo")
+            parsed.append((float(coeff), np.atleast_1d(expo)))
+        try:
+            polys.append(PolynomialMap.from_terms(len(stoich), parsed))
+        except ValueError as err:
+            raise ValueError(f"{rp}.{err}") from None
+    return MjpSpec(len(stoich), stoich, tuple(polys))
+
+
+# a kinded section's kind -> the constructor that builds and checks it
+_MODELS = {"lv": lotka_volterra, "linear": linear_sde, "mjp": _mjp}
+_OBS_MODELS = {"gaussian": GaussianObs, "log_normal": LogNormalObs}
+_LOSSES = {"quadratic": QuadraticLoss, "quartic": QuarticLoss}
+
+
+def _build(node, path: str, table: dict):
+    """The object a kinded section describes: its kind picks the
+    constructor in table, and its other keys are that constructor's
+    keyword arguments.  A ValueError the constructor raises starts with
+    the key path it is about, which is reported under path."""
+    kind = _get(node, "kind", path, kind=str)
+    if kind not in table:
+        raise ConfigError(f"{path}.kind: {kind!r} is not one of {list(table)}")
+    params = inspect.signature(table[kind]).parameters
+    _known(node, path, ("kind", *params))
+    for name, param in params.items():
+        if param.default is param.empty and name not in node:
+            raise ConfigError(f"{path}.{name}: required key is missing")
+    try:
+        return table[kind](**{k: v for k, v in node.items() if k != "kind"})
+    except ValueError as err:
+        raise ConfigError(f"{path}.{err}") from None
 
 
 @dataclass(eq=False)
@@ -122,129 +183,9 @@ class ExperimentConfig:
     non_paper_defaults: dict
 
 
-def _build_model(node, path: str) -> tuple[MjpSpec | None, SdeSpec]:
-    if node == "lv" or node is None:
-        mjp = lotka_volterra()
-        return mjp, cle_from_mjp(mjp)
-    _expect(node, path)
-    kind = _get(node, "kind", path, kind=str)
-    if kind == "lv":
-        _known(node, path, ("kind", "k0", "k1", "k2", "k3"))
-        k = [_get(node, name, path, default=d, kind=float)
-             for name, d in (("k0", 5.0), ("k1", 0.3),
-                             ("k2", 0.004), ("k3", 0.6))]
-        mjp = lotka_volterra(*k)
-        return mjp, cle_from_mjp(mjp)
-    if kind == "linear":
-        _known(node, path, ("kind", "A", "b"))
-        A = _array(_get(node, "A", path), f"{path}.A")
-        b = _array(_get(node, "b", path), f"{path}.b")
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != b.shape:
-            raise ConfigError(f"{path}: A and b must be equal square "
-                              "matrices")
-        return None, linear_sde(A, b)
-    if kind == "mjp":
-        _known(node, path, ("kind", "stoich", "rates"))
-        stoich = _get(node, "stoich", path)
-        try:
-            stoich = np.asarray(stoich, dtype=np.int64)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.stoich: expected integers") from None
-        if stoich.ndim != 2:
-            raise ConfigError(f"{path}.stoich: expected a 2-D matrix")
-        dim = stoich.shape[0]
-        rates_node = _get(node, "rates", path)
-        if not isinstance(rates_node, list) or not rates_node:
-            raise ConfigError(f"{path}.rates: expected a non-empty list")
-        rates = []
-        for i, r in enumerate(rates_node):
-            rp = f"{path}.rates[{i}]"
-            _known(r, rp, ("terms",))
-            terms = _get(r, "terms", rp)
-            if not isinstance(terms, list):
-                raise ConfigError(f"{rp}.terms: expected a list")
-            parsed = []
-            for j, term in enumerate(terms):
-                tp = f"{rp}.terms[{j}]"
-                _known(term, tp, ("coeff", "expo"))
-                coeff = _get(term, "coeff", tp, kind=float)
-                expo = _get(term, "expo", tp)
-                expo = tuple(int(e) for e in np.atleast_1d(expo))
-                if len(expo) != dim or any(e < 0 for e in expo):
-                    raise ConfigError(f"{tp}.expo: expected {dim} "
-                                      "non-negative integers")
-                parsed.append((coeff, expo))
-            rates.append(PolynomialMap.from_terms(dim, parsed))
-        mjp = MjpSpec(dim, stoich, tuple(rates))
-        return mjp, cle_from_mjp(mjp)
-    raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
-
-
-def _build_obs_model(node, path: str, dim: int):
-    if node is None:
-        return LogNormalObs(750.0)
-    _expect(node, path)
-    kind = _get(node, "kind", path, kind=str)
-    if kind == "gaussian":
-        _known(node, path, ("kind", "R"))
-        R = _array(_get(node, "R", path), f"{path}.R")
-        if R.ndim == 0:
-            R = R.reshape(1, 1)
-        if R.shape != (dim, dim):
-            raise ConfigError(f"{path}.R: expected a {dim}x{dim} matrix")
-        if not np.array_equal(R, R.T):
-            raise ConfigError(f"{path}.R: must be symmetric")
-        try:
-            np.linalg.cholesky(R)
-        except np.linalg.LinAlgError:
-            raise ConfigError(f"{path}.R: must be positive definite") from None
-        return GaussianObs(R)
-    if kind == "log_normal":
-        _known(node, path, ("kind", "variance", "parameterization"))
-        v = _get(node, "variance", path, kind=float)
-        # NaN fails the comparison too
-        if not 0.0 < v < np.inf:
-            raise ConfigError(f"{path}.variance: must be finite and positive")
-        param = _get(node, "parameterization", path,
-                     default="mean_variance", kind=str)
-        try:
-            return LogNormalObs(v, param)
-        except ValueError as err:
-            raise ConfigError(f"{path}.parameterization: {err}") from None
-    raise ConfigError(f"{path}.kind: unknown observation model {kind!r}")
-
-
-def _build_loss(node, path: str, t0: float, t1: float):
-    if node is None:
-        return None
-    _expect(node, path)
-    kind = _get(node, "kind", path, kind=str)
-    if kind == "quadratic":
-        _known(node, path, ("kind", "A", "c"))
-        A = _array(_get(node, "A", path), f"{path}.A")
-        c = _array(_get(node, "c", path), f"{path}.c")
-        return QuadraticLoss(A, c)
-    if kind == "quartic":
-        _known(node, path, ("kind", "weight", "center", "window"))
-        weight = _array(_get(node, "weight", path), f"{path}.weight")
-        center = _array(_get(node, "center", path), f"{path}.center")
-        window = _array(_get(node, "window", path), f"{path}.window")
-        if (weight < 0).any():
-            raise ConfigError(f"{path}.weight: must be non-negative")
-        try:
-            loss = QuarticLoss(weight, center, window)
-        except ValueError as err:
-            raise ConfigError(f"{path}: {err}") from None
-        active = loss.window[loss.weight > 0]
-        if active.size and (active.min() < t0 or active.max() > t1):
-            raise ConfigError(f"{path}.window: outside horizon "
-                              f"[{t0}, {t1}]")
-        return loss
-    raise ConfigError(f"{path}.kind: unknown loss kind {kind!r}")
-
-
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a YAML experiment file."""
+    """Parse and validate a YAML experiment file; the objects the kinded
+    sections build check their own values."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -258,7 +199,11 @@ def load_config(path) -> ExperimentConfig:
                      "loss", "method", "ep", "benchmark", "seed", "output"))
     flags = {}
 
-    mjp, sde = _build_model(raw.get("model"), "model")
+    node = raw.get("model")
+    model = _build({"kind": "lv"} if node in (None, "lv") else node, "model",
+                   _MODELS)
+    mjp = model if isinstance(model, MjpSpec) else None
+    sde = model if mjp is None else cle_from_mjp(mjp)
     dim = sde.dim
     try:
         closed_rhs(sde)
@@ -273,15 +218,13 @@ def load_config(path) -> ExperimentConfig:
         _known(horizon, "horizon", ("t0", "t1"))
         t0 = _get(horizon, "t0", "horizon", default=0.0, kind=float)
         t1 = _get(horizon, "t1", "horizon", kind=float)
-    if not t1 > t0:
-        raise ConfigError("horizon: t1 must exceed t0")
+    if not -np.inf < t0 < t1 < np.inf:
+        raise ConfigError("horizon: t0 and t1 must be finite, t1 above t0")
 
     grid_node = raw.get("grid") or {}
     _known(grid_node, "grid", ("n_steps",))
-    n_steps = _get(grid_node, "n_steps", "grid", default=round(
-        (t1 - t0) / 0.01), kind=int)
-    if n_steps < 1:
-        raise ConfigError("grid.n_steps: must be positive")
+    n_steps = _integer(grid_node, "n_steps", "grid", round((t1 - t0) / 0.01),
+                       least=1)
 
     init_node = raw.get("init")
     if init_node is None:
@@ -291,13 +234,12 @@ def load_config(path) -> ExperimentConfig:
     else:
         _known(init_node, "init", ("mean", "cov"))
         mean = _array(_get(init_node, "mean", "init"), "init.mean", (dim,))
-        cov = _get(init_node, "cov", "init")
-        cov = (float(cov) * np.eye(dim) if np.isscalar(cov)
-               else _array(cov, "init.cov", (dim, dim)))
-    try:
-        init = GaussianMoments(mean, cov)
-    except ValueError as err:
-        raise ConfigError(f"init: {err}") from None
+        cov = _array(_get(init_node, "cov", "init"), "init.cov")
+        cov = cov * np.eye(dim) if cov.ndim == 0 else cov
+        if not (cov.shape == (dim, dim) and symmetric_pd(cov)):
+            raise ConfigError("init.cov: expected a number > 0 or a symmetric "
+                              f"positive definite {dim}x{dim} matrix")
+    init = GaussianMoments(mean, cov)
 
     x0_node = raw.get("x0")
     if x0_node is None:
@@ -306,16 +248,20 @@ def load_config(path) -> ExperimentConfig:
             flags["initial_state"] = True
     else:
         x0 = _array(x0_node, "x0", (dim,))
+        if mjp is not None and ((x0 < 0) | (x0 != np.round(x0))).any():
+            raise ConfigError("x0: expected non-negative integer counts")
 
     obs_node = raw.get("observations") or {}
     _known(obs_node, "observations", ("times", "count", "model"))
     if "times" in obs_node:
-        obs_times = _array(obs_node["times"], "observations.times")
-        obs_times = np.atleast_1d(obs_times)
+        if "count" in obs_node:
+            raise ConfigError("observations: set times or count, not both")
+        obs_times = np.atleast_1d(_array(obs_node["times"],
+                                         "observations.times"))
+        if obs_times.ndim != 1:
+            raise ConfigError("observations.times: expected a list")
     else:
-        count = _get(obs_node, "count", "observations", default=20, kind=int)
-        if count < 0:
-            raise ConfigError("observations.count: must be non-negative")
+        count = _integer(obs_node, "count", "observations", 20)
         if "count" not in obs_node:
             flags["observation_schedule"] = True
         step = (t1 - t0) / count if count else 0.0
@@ -324,10 +270,22 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("observations.times: outside horizon")
     if obs_times.size > 1 and (np.diff(obs_times) <= 0).any():
         raise ConfigError("observations.times: must be strictly increasing")
-    obs_model = _build_obs_model(obs_node.get("model"), "observations.model",
-                                 dim)
+    node = obs_node.get("model")
+    obs_model = (LogNormalObs(750.0) if node is None
+                 else _build(node, "observations.model", _OBS_MODELS))
+    if isinstance(obs_model, GaussianObs) and len(obs_model.R) != dim:
+        raise ConfigError(f"observations.model.R: expected {dim}x{dim}")
 
-    loss = _build_loss(raw.get("loss"), "loss", t0, t1)
+    node = raw.get("loss")
+    loss = None if node is None else _build(node, "loss", _LOSSES)
+    if isinstance(loss, QuadraticLoss) and len(loss.c) != dim:
+        raise ConfigError(f"loss.c: expected length {dim}")
+    if isinstance(loss, QuarticLoss):
+        if len(loss.weight) != dim:
+            raise ConfigError(f"loss.weight: expected length {dim}")
+        active = loss.window[loss.weight > 0]
+        if active.size and (active.min() < t0 or active.max() > t1):
+            raise ConfigError(f"loss.window: outside horizon [{t0}, {t1}]")
 
     method = _get(raw, "method", "", default="ep", kind=str)
     if method not in METHODS:
@@ -342,25 +300,18 @@ def load_config(path) -> ExperimentConfig:
 
     bench = raw.get("benchmark") or {}
     _known(bench, "benchmark", ("variances", "replicates"))
-    variances = bench.get("variances", [750.0])
-    try:
-        variances = tuple(float(v) for v in variances)
-    except (TypeError, ValueError):
-        raise ConfigError("benchmark.variances: expected numbers") from None
-    if not all(0.0 < v < np.inf for v in variances):
-        raise ConfigError("benchmark.variances: must be finite and positive")
-    replicates = _get(bench, "replicates", "benchmark", default=40, kind=int)
-    if replicates < 1:
-        raise ConfigError("benchmark.replicates: must be positive")
-
-    seed = _get(raw, "seed", "", default=0, kind=int)
+    variances = _array(bench.get("variances", [750.0]), "benchmark.variances")
+    if variances.ndim != 1 or (variances <= 0).any():
+        raise ConfigError("benchmark.variances: expected positive numbers")
+    replicates = _integer(bench, "replicates", "benchmark", 40, least=1)
+    seed = _integer(raw, "seed", "", 0)
     output = _get(raw, "output", "", default="out", kind=str)
 
     return ExperimentConfig(
         mjp=mjp, sde=sde, t0=t0, t1=t1, n_steps=n_steps, init=init, x0=x0,
         obs_times=obs_times, obs_model=obs_model, loss=loss, method=method,
-        ep=ep, seed=seed, variances=variances, replicates=replicates,
-        output=output, non_paper_defaults=flags)
+        ep=ep, seed=seed, variances=tuple(variances.tolist()),
+        replicates=replicates, output=output, non_paper_defaults=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,6 @@ class ForwardPassResult:
     grid: TimeGrid
     flow_means: np.ndarray   # pure-flow arrival at each node
     flow_covs: np.ndarray
-    pre_means: np.ndarray    # after the continuous site, before discrete
-    pre_covs: np.ndarray
     post_means: np.ndarray   # after all sites at the node
     post_covs: np.ndarray
     log_norm: float          # accumulated site log-normalizer increments
@@ -270,7 +268,7 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
 
     def run(guard):
         y = y0
-        flow, pre, post = np.empty((3, N + 1, len(y)))
+        flow, post = np.empty((2, N + 1, len(y)))
         log_norm = 0.0
 
         def site(y, h, J, scale, k):
@@ -288,7 +286,6 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
             flow[k] = y
             if k > 0 and cont_on[k - 1]:   # site of the cell ending here
                 y = site(y, sites.cont_h[k - 1], sites.cont_J[k - 1], dt, k)
-            pre[k] = y
             if site_hook is not None:
                 site_hook(k, *unpack(y, d))
                 cont_on[k] = bool(sites.cont_h[k].any()
@@ -300,8 +297,8 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
             if guard:
                 _check_finite(y, k)
 
-        return (ForwardPassResult(grid, *unpack(flow, d), *unpack(pre, d),
-                                  *unpack(post, d), log_norm),
+        return (ForwardPassResult(grid, *unpack(flow, d), *unpack(post, d),
+                                  log_norm),
                 flow[1:], post)
 
     return _guarded(run, d, counter)

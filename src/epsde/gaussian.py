@@ -33,6 +33,20 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 PSD_FLOOR = 1e-8
 
 
+def finite_array(value, name: str, shape=None) -> np.ndarray:
+    """value as a float array of finite numbers, of shape shape if given;
+    the message of the ValueError raised otherwise starts with name."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected numbers") from None
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: values must be finite")
+    return arr
+
+
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -154,6 +168,12 @@ def above_psd_floor(cov: np.ndarray, eps_psd: float = PSD_FLOOR) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def symmetric_pd(mat: np.ndarray) -> bool:
+    """Whether mat is an exactly symmetric positive definite matrix."""
+    return (mat.ndim == 2 and np.array_equal(mat, mat.T)
+            and above_psd_floor(mat, 0.0))
 
 
 def repair_psd(mean: np.ndarray, cov: np.ndarray, eps_psd: float = PSD_FLOOR,

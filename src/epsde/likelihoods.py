@@ -30,8 +30,10 @@ from .gaussian import (
     _chol,
     add_site,
     canonical_to_moments,
+    finite_array,
     log_partition,
     repair_psd,
+    symmetric_pd,
 )
 
 
@@ -50,12 +52,18 @@ class Observation:
 
 @dataclass(frozen=True, eq=False)
 class GaussianObs:
-    """y = x + noise with noise ~ N(0, R)."""
+    """y = x + noise with noise ~ N(0, R), R symmetric positive definite
+    (a number stands for a 1x1 matrix)."""
 
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
+        R = finite_array(self.R, "R")
+        R = R.reshape(1, 1) if R.ndim == 0 else R
+        if not symmetric_pd(R):
+            raise ValueError("R: must be a symmetric positive definite "
+                             "matrix")
+        object.__setattr__(self, "R", R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,30 +76,41 @@ class LogNormalObs:
         s2 = log(1 + variance / x^2),   location = log x - s2 / 2.
 
     The "multiplicative" alternative is y = x exp(eps), eps ~ N(0, variance).
-    Both densities are zero for x <= 0.
+    Both densities are zero for x <= 0.  The variance must be finite and
+    positive.
     """
 
     variance: float
     parameterization: str = "mean_variance"
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("observation variance must be positive")
+        variance = float(finite_array(self.variance, "variance", ()))
+        if variance <= 0:
+            raise ValueError("variance: must be positive")
         if self.parameterization not in ("mean_variance", "multiplicative"):
-            raise ValueError(
-                f"unknown parameterization {self.parameterization!r}")
+            raise ValueError("parameterization: unknown parameterization "
+                             f"{self.parameterization!r}")
+        object.__setattr__(self, "variance", variance)
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticLoss:
-    """U(x) = x . A x / 2 - c . x, active at all times."""
+    """U(x) = x . A x / 2 - c . x, active at all times; A is a symmetric
+    d x d matrix for a d-vector c."""
 
     A: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        A = finite_array(self.A, "A")
+        c = finite_array(self.c, "c")
+        if c.ndim != 1:
+            raise ValueError("c: expected a vector")
+        if A.shape != (len(c), len(c)) or not np.array_equal(A, A.T):
+            raise ValueError(f"A: expected a symmetric {len(c)}x{len(c)} "
+                             "matrix")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +122,18 @@ class QuarticLoss:
     window: np.ndarray    # (d, 2) inclusive [t_lo, t_hi] per dimension
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weight, dtype=float))
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        win = np.asarray(self.window, dtype=float).reshape(len(w), 2)
-        if len(c) != len(w):
-            raise ValueError("weight and center must have equal length")
+        w = np.atleast_1d(finite_array(self.weight, "weight"))
+        c = np.atleast_1d(finite_array(self.center, "center"))
+        win = finite_array(self.window, "window")
+        if w.ndim != 1 or (w < 0).any():
+            raise ValueError("weight: expected non-negative numbers")
+        if c.shape != w.shape:
+            raise ValueError(f"center: expected length {len(w)}")
+        if win.size != 2 * len(w):
+            raise ValueError(f"window: expected {len(w)} [t_lo, t_hi] pairs")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "window", win)
+        object.__setattr__(self, "window", win.reshape(len(w), 2))
 
     def active(self, t) -> np.ndarray:
         """Per-dimension window flags at time t, (d,), or at times t (n,)

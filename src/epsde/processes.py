@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gaussian import finite_array
+
 
 @dataclass(frozen=True, eq=False)
 class PolynomialMap:
@@ -32,12 +34,11 @@ class PolynomialMap:
     def from_terms(dim: int, terms) -> "PolynomialMap":
         """Build from an iterable of (coeff, exponents) pairs."""
         merged: dict[tuple[int, ...], float] = {}
-        for coeff, expo in terms:
+        for j, (coeff, expo) in enumerate(terms):
             e = tuple(int(k) for k in expo)
-            if len(e) != dim:
-                raise ValueError(f"exponent vector {e} does not have length {dim}")
-            if any(k < 0 for k in e):
-                raise ValueError(f"negative exponent in {e}")
+            if len(e) != dim or any(k < 0 for k in e) or e != tuple(expo):
+                raise ValueError(f"terms[{j}].expo: expected {dim} "
+                                 "non-negative integers")
             merged[e] = merged.get(e, 0.0) + float(coeff)
         merged = {e: c for e, c in merged.items() if c != 0.0}
         order = sorted(merged)
@@ -157,16 +158,17 @@ class MjpSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        stoich = np.asarray(self.stoich, dtype=np.int64)
+        stoich = finite_array(self.stoich, "stoich")
         rates = tuple(self.rates)
-        if stoich.ndim != 2 or stoich.shape[0] != self.dim:
-            raise ValueError(f"stoich must have shape ({self.dim}, R)")
-        if len(rates) != stoich.shape[1]:
-            raise ValueError("one rate polynomial required per reaction")
-        for g in rates:
-            if g.dim != self.dim:
-                raise ValueError("rate polynomial dimension mismatch")
-        object.__setattr__(self, "stoich", stoich)
+        if (stoich.ndim != 2 or stoich.shape[0] != self.dim
+                or (stoich != np.round(stoich)).any()):
+            raise ValueError(f"stoich: expected a ({self.dim}, R) matrix "
+                             "of integers")
+        if (len(rates) != stoich.shape[1]
+                or any(g.dim != self.dim for g in rates)):
+            raise ValueError(f"rates: expected one polynomial in {self.dim} "
+                             "variables per reaction")
+        object.__setattr__(self, "stoich", stoich.astype(np.int64))
         object.__setattr__(self, "rates", rates)
 
     @property
@@ -214,28 +216,32 @@ def lotka_volterra(k0: float = 5.0, k1: float = 0.3, k2: float = 0.004,
         X -> 2X       rate k1 n1       (prey reproduction)
         Y + X -> 2Y   rate k2 n1 n2    (predation)
         Y -> 0        rate k3 n2       (predator death)
+
+    Each rate constant must be finite and non-negative.
     """
+    params = {"k0": k0, "k1": k1, "k2": k2, "k3": k3}
+    for name, k in params.items():
+        params[name] = float(finite_array(k, name, ()))
+        if params[name] < 0:
+            raise ValueError(f"{name}: must be non-negative")
     stoich = np.array([[1, 1, -1, 0],
                        [0, 0, 1, -1]], dtype=np.int64)
-    rates = (
-        PolynomialMap.from_terms(2, [(k0, (0, 0))]),
-        PolynomialMap.from_terms(2, [(k1, (1, 0))]),
-        PolynomialMap.from_terms(2, [(k2, (1, 1))]),
-        PolynomialMap.from_terms(2, [(k3, (0, 1))]),
-    )
-    return MjpSpec(2, stoich, rates,
-                   params={"k0": k0, "k1": k1, "k2": k2, "k3": k3})
+    rates = tuple(PolynomialMap.from_terms(2, [(k, e)]) for k, e in zip(
+        params.values(), ((0, 0), (1, 0), (1, 1), (0, 1))))
+    return MjpSpec(2, stoich, rates, params=params)
 
 
 def linear_sde(A, b) -> SdeSpec:
     """Ornstein-Uhlenbeck process dx = A x dt + b^(1/2) dW, b constant SPD."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A = finite_array(A, "A")
+    b = finite_array(b, "b")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("A: expected a square matrix")
+    if b.shape != A.shape:
+        raise ValueError(f"b: expected shape {A.shape}, got {b.shape}")
     d = A.shape[0]
-    if A.shape != (d, d) or b.shape != (d, d):
-        raise ValueError("A and b must be square matrices of the same size")
     if np.max(np.abs(b - b.T)) > 1e-12 * max(1.0, np.max(np.abs(b))):
-        raise ValueError("b must be symmetric")
+        raise ValueError("b: must be symmetric")
     unit = np.eye(d, dtype=np.int64)
     drift = tuple(
         PolynomialMap.from_terms(

@@ -8,6 +8,9 @@ them up even when nothing inside the package reads them.
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import epsde
 
 PUBLIC = {
@@ -52,3 +55,30 @@ def test_benchmark_tracer_layers_resolve(monkeypatch):
         found = (attr in vars(target) if isinstance(target, type)
                  else hasattr(target, attr))
         assert found, f"{owner}.{attr}"
+
+
+# each value the config file rejects is rejected by the constructor it
+# reaches, and the message starts with the argument's name
+@pytest.mark.parametrize("make, key", [
+    (lambda: epsde.LogNormalObs(np.nan), "variance"),
+    (lambda: epsde.LogNormalObs(-3.0), "variance"),
+    (lambda: epsde.GaussianObs([[-0.2]]), "R"),
+    (lambda: epsde.GaussianObs([[1.0, 0.5], [0.4, 1.0]]), "R"),
+    (lambda: epsde.QuadraticLoss([[1.0]], [1.0, 2.0]), "A"),
+    (lambda: epsde.QuadraticLoss([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0]), "A"),
+    (lambda: epsde.QuarticLoss([1.0], [1.0, 2.0], [[0.0, 1.0]]), "center"),
+    (lambda: epsde.QuarticLoss([1.0, 1.0], [0.0, 0.0], [[0.0, 1.0]]),
+     "window"),
+    (lambda: epsde.QuarticLoss([-1.0], [0.0], [[0.0, 1.0]]), "weight"),
+    (lambda: epsde.lotka_volterra(k0=np.nan), "k0"),
+    (lambda: epsde.lotka_volterra(k3=-0.6), "k3"),
+    (lambda: epsde.PolynomialMap.from_terms(1, [(1.0, (0.5,))]),
+     "terms[0].expo"),
+    (lambda: epsde.MjpSpec(1, [[1.5]],
+                           (epsde.PolynomialMap.constant(1, 1.0),)), "stoich"),
+    (lambda: epsde.linear_sde([[-1.0]], [[1.0, 0.0]]), "b"),
+])
+def test_constructors_reject_invalid_values(make, key):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value).startswith(f"{key}: ")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,11 +130,47 @@ def test_config_errors_name_the_key_path(tmp_path):
         ("model: {kind: linear, A: [[-1.0]], b: [[1.0, 0.0]]}", "model"),
         ("model: {kind: mjp, stoich: [[1]], "
          "rates: [{terms: [{coeff: 1.0, expo: [8]}]}]}", "model"),
+        # integer keys reject fractions and bools
+        ("grid: {n_steps: 150.7}", "grid.n_steps"),
+        ("grid: {n_steps: true}", "grid.n_steps"),
+        ("seed: 1.5", "seed"),
+        ("benchmark: {replicates: 2.9}", "benchmark.replicates"),
+        ("observations: {count: 2.5}", "observations.count"),
+        # the value rules of the kinded sections, the schedule, init and x0
+        ("observations: {times: [1.0, 2.0], count: 5}", "observations"),
+        ("loss: {kind: quadratic, A: [[1.0]], c: [1.0, 2.0]}", "loss.A"),
+        ("loss: {kind: quadratic, A: [[1.0, 0.5], [0.0, 1.0]], "
+         "c: [0.0, 0.0]}", "loss.A"),
+        ("loss: {kind: quadratic, A: [[1.0]], c: [1.0]}", "loss.c"),
+        ("loss: {kind: quartic, weight: [1.0], center: [1.0, 2.0], "
+         "window: [[1.0, 2.0]]}", "loss.center"),
+        ("model: {kind: lv, k0: .nan}", "model.k0"),
+        ("init: {mean: [100.0, 100.0], cov: abc}", "init.cov"),
+        ("init: {mean: [100.0, 100.0], cov: -3.0}", "init.cov"),
+        ("observations: {times: [[1.0, 1.5]]}", "observations.times"),
+        ("model: {kind: mjp, stoich: [[1]], "
+         "rates: [{terms: [{coeff: 1.0, expo: [0.5]}]}]}",
+         "model.rates[0].terms[0].expo"),
+        ("model: {kind: mjp, stoich: [[1.5]], "
+         "rates: [{terms: [{coeff: 1.0, expo: [0]}]}]}", "model.stoich"),
+        ("model: {kind: mjp, stoich: [[1]], "
+         "rates: [{terms: [{coeff: .nan, expo: [0]}]}]}",
+         "model.rates[0].terms[0].coeff"),
+        ("x0: [100.5, 100]", "x0"),
+        ("x0: [-5, 100]", "x0"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError) as exc:
             load_config(_write(tmp_path, text))
         assert needle in str(exc.value), text
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A complete config")[1].split("```yaml\n")[1]
+    cfg = load_config(_write(tmp_path, block.split("```")[0]))
+    assert cfg.mjp is not None and cfg.n_steps == 1500
+    assert cfg.loss is not None and cfg.variances == (500.0, 750.0, 1000.0)
 
 
 def test_invalid_yaml_is_a_config_error(tmp_path):

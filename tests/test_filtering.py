@@ -99,8 +99,7 @@ def test_forward_no_sites_matches_exact_moments():
                                       grid.times[k])
         np.testing.assert_allclose(fwd.post_means[k], m_ex, atol=1e-10)
         np.testing.assert_allclose(fwd.post_covs[k], C_ex, atol=1e-10)
-    np.testing.assert_array_equal(fwd.pre_means, fwd.flow_means)
-    np.testing.assert_array_equal(fwd.pre_means, fwd.post_means)
+    np.testing.assert_array_equal(fwd.flow_means, fwd.post_means)
 
 
 def test_forward_integrator_is_fourth_order():
@@ -129,8 +128,9 @@ def test_forward_matches_kalman_filter():
                                atol=1e-9)
     np.testing.assert_allclose(fwd.post_covs, ref["filtered_covs"],
                                atol=1e-9)
-    np.testing.assert_allclose(fwd.pre_means, ref["pre_means"], atol=1e-9)
-    np.testing.assert_allclose(fwd.pre_covs, ref["pre_covs"], atol=1e-9)
+    # no continuous site, so the flow arrival is the oracle's prediction
+    np.testing.assert_allclose(fwd.flow_means, ref["pre_means"], atol=1e-9)
+    np.testing.assert_allclose(fwd.flow_covs, ref["pre_covs"], atol=1e-9)
 
 
 def test_forward_log_norm_recovers_log_likelihood():
@@ -341,8 +341,8 @@ def _run_passes(spec, sites, prior, grid):
     counter = RepairCounter()
     fwd = forward_pass(spec, sites, prior, grid, counter=counter)
     path = backward_pass(spec, fwd, counter=counter)
-    rows = (fwd.flow_means, fwd.flow_covs, fwd.pre_means, fwd.pre_covs,
-            fwd.post_means, fwd.post_covs, path.means, path.covs)
+    rows = (fwd.flow_means, fwd.flow_covs, fwd.post_means, fwd.post_covs,
+            path.means, path.covs)
     return rows, fwd.log_norm, counter.count
 
 

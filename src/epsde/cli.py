@@ -295,8 +295,8 @@ def load_config(path) -> ExperimentConfig:
     _known(ep_node, "ep", [f.name for f in fields(EpConfig)])
     try:
         ep = EpConfig(**ep_node)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"ep: {err}") from None
+    except ValueError as err:
+        raise ConfigError(f"ep.{err}") from None
 
     bench = raw.get("benchmark") or {}
     _known(bench, "benchmark", ("variances", "replicates"))
@@ -605,15 +605,19 @@ def cmd_benchmark(cfg: ExperimentConfig, out=None, workers: int = 1
 # entry point
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an integer of at least least, or exit 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -625,7 +629,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="YAML experiment file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
+        # as for the config's seed key: Philox takes no negative key
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the config seed")
 
     p = sub.add_parser("simulate", help="draw a ground-truth path and "
@@ -639,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exit 4 if the sweep loop does not converge")
     p = sub.add_parser("benchmark", help="RMSE comparison of EP and ADF-S")
     common(p)
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="concurrent replicate processes")
     p = sub.add_parser("validate", help="check a config file and exit")
     p.add_argument("--config", required=True)

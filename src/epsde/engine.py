@@ -6,20 +6,21 @@ process written as the prior diffusion tilted by site factors: one
 canonical site per discrete observation and a piecewise-constant
 canonical site field for the continuous loss.
 
-run_ep iterates full parallel sweeps.  Under init_mode "auto", a run
-with non-Gaussian observations and no continuous loss starts from the
-sites of one plain ADF pass (EP is ADF made iterative, with ADF as its
-first pass; Minka 2001).  Every other run starts from _init_sites:
-Gaussian observation sites are exact there already, and with a loss
-the continuous site field, not the observation sites, sets the sweep
-count.  Each sweep runs one forward and one backward pass at the
-current sites, reads the smoothed marginal at every node, forms
-cavities for all sites from the same smoothed path, moment-matches the
-tilted distributions, and applies the damped update jointly.  Once
-the largest applied parameter change falls below the tolerance, or the
-sweep budget is spent, one more forward/backward evaluation at the
-fixed sites produces the returned marginals and the free-energy
-estimate of the log evidence.
+run_ep iterates full parallel sweeps.  A run with non-Gaussian
+observations and no continuous loss continues from ADF-S (EP is ADF
+made iterative, with ADF as its first pass; Minka 2001): it starts from
+ADF's sites, and its first sweep reads ADF-S's smoothed path, the one
+its own passes at those sites would give.  Every other run starts from
+_init_sites: Gaussian observation sites are exact there already, and
+with a loss the continuous site field, not the observation sites, sets
+the sweep count.  Each sweep but that first one runs a forward and a
+backward pass at the current sites.  Each sweep reads the smoothed
+marginal at every node, forms cavities for all sites from that path,
+moment-matches the tilted distributions, and applies the damped update
+jointly.  Once the largest applied parameter change falls below the
+tolerance, or the sweep budget is spent, one more forward/backward
+evaluation at the fixed sites produces the returned marginals and the
+free-energy estimate of the log evidence.
 
 run_adf is one forward pass (filtering.forward_pass) with a site hook,
 so ADF and EP run the same propagation kernel and guard policy.  At each node the hook
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -81,31 +82,29 @@ class EpConfig:
 
     damping is the step size of every site update, tolerance the
     convergence threshold on the largest applied parameter change and
-    max_sweeps the sweep budget.  init_mode "auto" starts non-Gaussian
-    observation sites from one ADF pass when there is no loss, and
-    otherwise warm starts Gaussian observations and the loss (see
-    _init_sites); "zero" starts every site at zero.  The numerics EP
+    max_sweeps the sweep budget.  The starting sites follow from the
+    observation model and the loss (see run_ep).  The numerics EP
     shares with ADF are fixed: the PSD floor (gaussian.PSD_FLOOR) and
-    the quadrature order (tilted_moments' default).
+    the quadrature order (tilted_moments' default).  A ValueError's
+    message starts with the field it names.
     """
 
     damping: float = 0.5
     tolerance: float = 0.01
     max_sweeps: int = 50
-    init_mode: str = "auto"
 
     def __post_init__(self):
+        for name in ("damping", "tolerance", "max_sweeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name}: expected a number, got {value!r}")
         # NaN fails every comparison below, so it is rejected too
         if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+            raise ValueError("damping: must lie in (0, 1]")
         if not 0.0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be finite and positive")
-        if (isinstance(self.max_sweeps, bool)
-                or not isinstance(self.max_sweeps, Integral)
-                or self.max_sweeps < 1):
-            raise ValueError("max_sweeps must be an integer of at least 1")
-        if self.init_mode not in ("auto", "zero"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
+            raise ValueError("tolerance: must be finite and positive")
+        if not isinstance(self.max_sweeps, Integral) or self.max_sweeps < 1:
+            raise ValueError("max_sweeps: must be an integer of at least 1")
 
 
 @dataclass(eq=False)
@@ -117,7 +116,9 @@ class EpResult:
     when some observation site cannot be matched there.  converged is
     always checked against the applied site change, so a result with
     converged False is still a valid, fully evaluated state.  EP's
-    sweeps_run is the length of max_site_delta_history.
+    sweeps_run is the length of max_site_delta_history.  psd_repairs
+    counts the run's PSD repairs, ADF-S's once for an EP run that
+    continues from ADF-S (see run_ep).
     """
 
     smoothed: MarginalPath
@@ -190,17 +191,14 @@ _QUARTIC_PRECISION = math.gamma(0.25) / math.gamma(0.75)
 
 
 def _init_sites(obs_model, values: np.ndarray, loss, grid: TimeGrid,
-                dim: int, idx: np.ndarray, cfg: EpConfig) -> SiteSet:
-    """Sites at the start of the sweeps, unless run_ep starts them from
-    an ADF pass (non-Gaussian observations, no loss, init_mode "auto"):
-    Gaussian observations and the quadratic loss at their exact
-    canonical parameters, the quartic loss at its moment match against a
-    flat measure, every other site at zero.  init_mode "zero" starts
-    every site at zero.
+                dim: int, idx: np.ndarray) -> SiteSet:
+    """Sites at the start of the sweeps, unless run_ep continues from
+    ADF-S (non-Gaussian observations, no loss): Gaussian observations
+    and the quadratic loss at their exact canonical parameters, the
+    quartic loss at its moment match against a flat measure, every other
+    site at zero.
     """
     sites = SiteSet.zeros(grid, dim, idx)
-    if cfg.init_mode == "zero":
-        return sites
     if isinstance(obs_model, GaussianObs):
         r_inv = np.linalg.inv(obs_model.R)
         sites.obs_h[:] = values @ r_inv.T
@@ -281,40 +279,41 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     Never raises on non-convergence: the result carries converged=False
     and the per-sweep change history instead.  Numerical failures
     propagate with the sweep index attached; one raised in the starting
-    ADF pass carries sweep = 1, one raised in the final evaluation at
-    the returned sites sweep = sweeps_run + 1.  A site the ADF pass
-    skipped starts at zero, counts as never matched and adds to
-    skipped_updates; its PSD repairs add to psd_repairs.
+    ADF-S run carries sweep = 1, one raised in the final evaluation at
+    the returned sites sweep = sweeps_run + 1.  A run that continues
+    from ADF-S starts with its sites, so a site ADF could not match
+    starts at zero; its skipped updates add to skipped_updates, and
+    psd_repairs counts ADF-S's repairs once, then those of EP's own
+    passes and matches.  A site that cannot be matched in a sweep keeps
+    its value and counts as one skipped update.
     """
     cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
     idx, values = _snap_observations(obs, grid, dim)
     counter = RepairCounter()
-    if (cfg.init_mode == "auto" and loss is None
-            and not isinstance(obs_model, GaussianObs)):
+    if loss is None and not isinstance(obs_model, GaussianObs):
         try:
-            adf = run_adf(spec, obs, obs_model, None, init, grid)
+            adfs = run_adf(spec, obs, obs_model, None, init, grid,
+                           smoothing=True)
         except (NonPositiveDefinite, DivergedMoments) as err:
             err.sweep = 1
             raise
-        sites = adf.sites
-        counter.add(adf.psd_repairs)
-        skipped = adf.skipped_updates
-        # ADF leaves the sites it skipped at zero; a matched site that
-        # happens to be zero behaves the same either way
-        obs_updated = sites.obs_h.any(axis=1) | sites.obs_J.any(axis=(1, 2))
+        sites, smoothed = adfs.sites, adfs.smoothed
+        counter.add(adfs.psd_repairs)
+        skipped = adfs.skipped_updates
     else:
-        sites = _init_sites(obs_model, values, loss, grid, dim, idx, cfg)
+        sites = _init_sites(obs_model, values, loss, grid, dim, idx)
+        smoothed = None
         skipped = 0
-        obs_updated = np.zeros(len(idx), dtype=bool)
     history = []
     converged = False
 
     # sweep max_sweeps + 1 only evaluates the final state
     for sweep in range(1, cfg.max_sweeps + 2):
         try:
-            fwd = forward_pass(spec, sites, init, grid, counter=counter)
-            smoothed = backward_pass(spec, fwd, counter=counter)
+            if sweep > 1 or smoothed is None:
+                fwd = forward_pass(spec, sites, init, grid, counter=counter)
+                smoothed = backward_pass(spec, fwd, counter=counter)
             if converged or sweep > cfg.max_sweeps:
                 log_evidence = _log_evidence(obs_model, values, sites,
                                              fwd.log_norm, smoothed, grid,
@@ -327,18 +326,10 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
                 matched = _match_site(obs_model, values[s],
                                       smoothed.node(int(k)), sites.obs_h[s],
                                       sites.obs_J[s], counter)
-                if matched is not None:
+                if matched is None:
+                    skipped += 1
+                else:
                     prop_obs_h[s], prop_obs_J[s] = matched[:2]
-                    obs_updated[s] = True
-                    continue
-                # a site that cannot be matched this sweep keeps its last
-                # good value if it has been matched before, while one
-                # still carrying pure warm-start residue is walked back
-                # toward zero by the damped update
-                skipped += 1
-                if not obs_updated[s]:
-                    prop_obs_h[s] = 0.0
-                    prop_obs_J[s] = 0.0
 
             prop_cont_h = sites.cont_h
             prop_cont_J = sites.cont_J

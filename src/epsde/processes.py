@@ -232,7 +232,7 @@ def lotka_volterra(k0: float = 5.0, k1: float = 0.3, k2: float = 0.004,
 
 
 def linear_sde(A, b) -> SdeSpec:
-    """Ornstein-Uhlenbeck process dx = A x dt + b^(1/2) dW, b constant SPD."""
+    """Ornstein-Uhlenbeck process dx = A x dt + b^(1/2) dW, b constant PSD."""
     A = finite_array(A, "A")
     b = finite_array(b, "b")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -240,8 +240,11 @@ def linear_sde(A, b) -> SdeSpec:
     if b.shape != A.shape:
         raise ValueError(f"b: expected shape {A.shape}, got {b.shape}")
     d = A.shape[0]
-    if np.max(np.abs(b - b.T)) > 1e-12 * max(1.0, np.max(np.abs(b))):
+    tol = 1e-12 * max(1.0, np.max(np.abs(b)))
+    if np.max(np.abs(b - b.T)) > tol:
         raise ValueError("b: must be symmetric")
+    if np.linalg.eigvalsh(b)[0] < -tol:
+        raise ValueError("b: must be positive semi-definite")
     unit = np.eye(d, dtype=np.int64)
     drift = tuple(
         PolynomialMap.from_terms(

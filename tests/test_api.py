@@ -77,6 +77,12 @@ def test_benchmark_tracer_layers_resolve(monkeypatch):
     (lambda: epsde.MjpSpec(1, [[1.5]],
                            (epsde.PolynomialMap.constant(1, 1.0),)), "stoich"),
     (lambda: epsde.linear_sde([[-1.0]], [[1.0, 0.0]]), "b"),
+    pytest.param(lambda: epsde.linear_sde([[-1.0]], [[-1.0]]), "b",
+                 id="b-not-psd"),
+    pytest.param(lambda: epsde.EpConfig(damping="abc"), "damping",
+                 id="damping-str"),
+    pytest.param(lambda: epsde.EpConfig(damping=True), "damping",
+                 id="damping-bool"),
 ])
 def test_constructors_reject_invalid_values(make, key):
     with pytest.raises(ValueError) as exc:

@@ -158,6 +158,15 @@ def test_config_errors_name_the_key_path(tmp_path):
          "model.rates[0].terms[0].coeff"),
         ("x0: [100.5, 100]", "x0"),
         ("x0: [-5, 100]", "x0"),
+        ("model: {kind: linear, A: [[-1.0]], b: [[-1.0]]}", "model.b"),
+        # the ep section: a message names its key, and bools and
+        # non-numbers are errors, not comparisons or 1.0
+        ("ep: {damping: abc}", "ep.damping"),
+        ("ep: {damping: true}", "ep.damping"),
+        ("ep: {damping: 0.0}", "ep.damping"),
+        ("ep: {tolerance: abc}", "ep.tolerance"),
+        ("ep: {max_sweeps: 0}", "ep.max_sweeps"),
+        ("ep: {init_mode: auto}", "ep.init_mode"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError) as exc:
@@ -491,6 +500,15 @@ def test_benchmark_rejects_workers_below_one(tmp_path, capsys, workers):
         main(["benchmark", "--config", str(path), "--workers", workers])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_seed_option_rejects_negative(tmp_path, capsys):
+    path = _write(tmp_path, LV_SMALL_YAML)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(path), "--seed", "-3",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_benchmark_failure_names_method_and_first_replicate(tmp_path,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import epsde.engine as engine
 import epsde.filtering as filtering
 from epsde.engine import EpConfig, EpResult, free_energy, run_adf, run_ep
 from epsde.errors import DivergedMoments
@@ -91,9 +92,9 @@ def test_adfs_matches_rts_smoother():
 
 
 def test_adfs_equals_first_ep_sweep_on_linear_model():
-    # with zero-initialized sites and full steps, one parallel EP sweep
-    # realizes the same sites ADF does, because conjugate updates do not
-    # depend on the cavity; the final smoothed paths must then agree
+    # with full steps, one parallel EP sweep realizes the same sites ADF
+    # does, because conjugate updates do not depend on the cavity; the
+    # final smoothed paths must then agree
     grid, obs, _ = _linear_case(n_steps=200, t1=5.0)
     spec = linear_sde(A2, B2)
     loss = QuadraticLoss(np.array([[0.2, 0.0], [0.0, 0.1]]),
@@ -101,7 +102,7 @@ def test_adfs_equals_first_ep_sweep_on_linear_model():
     adfs = run_adf(spec, obs, GaussianObs(R2), loss, PRIOR2, grid,
                    smoothing=True)
     ep = run_ep(spec, obs, GaussianObs(R2), loss, PRIOR2, grid,
-                EpConfig(damping=1.0, max_sweeps=1, init_mode="zero"))
+                EpConfig(damping=1.0, max_sweeps=1))
     np.testing.assert_allclose(ep.sites.obs_h, adfs.sites.obs_h, atol=1e-10)
     np.testing.assert_allclose(ep.sites.obs_J, adfs.sites.obs_J, atol=1e-10)
     np.testing.assert_allclose(ep.sites.cont_h, adfs.sites.cont_h,
@@ -190,6 +191,40 @@ def test_ep_sweep_budget_respected_when_not_converged():
     assert np.all(np.isfinite(res.smoothed.means))
 
 
+def _log_normal_ep_args():
+    spec, grid, prior, model, obs = _birth_death_case(seed=11)
+    return spec, obs, model, None, prior, grid
+
+
+def _gaussian_ep_args():
+    grid, obs, _ = _linear_case(n_steps=250)
+    return linear_sde(A2, B2), obs, GaussianObs(R2), None, PRIOR2, grid
+
+
+@pytest.mark.parametrize("case", [_log_normal_ep_args, _gaussian_ep_args],
+                         ids=["log-normal", "gaussian"])
+def test_ep_runs_one_pass_pair_per_sweep_and_one_to_evaluate(case,
+                                                             monkeypatch):
+    # a loss-free log-normal run continues from ADF-S, whose smoothed
+    # path its first sweep reads, so ADF-S's passes replace that sweep's
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(engine, "forward_pass",
+                        counted("forward", engine.forward_pass))
+    monkeypatch.setattr(engine, "backward_pass",
+                        counted("backward", engine.backward_pass))
+    res = run_ep(*case())
+    assert res.converged
+    assert calls == {"forward": res.sweeps_run + 1,
+                     "backward": res.sweeps_run + 1}
+
+
 def _untractable_case():
     # a prior pinned at negative values makes the log-normal tilted
     # integral vanish at every quadrature node: the update is skipped
@@ -207,12 +242,11 @@ def _assert_skipped_and_flagged(res):
     assert np.isnan(res.log_evidence)
 
 
-@pytest.mark.parametrize("init_mode", ["auto", "zero"])
-def test_ep_skips_untractable_site_and_flags_evidence(init_mode):
-    res = run_ep(*_untractable_case(), EpConfig(init_mode=init_mode))
+def test_ep_skips_untractable_site_and_flags_evidence():
+    res = run_ep(*_untractable_case())
     _assert_skipped_and_flagged(res)
-    # one skip per sweep, plus the ADF start's under "auto"
-    assert res.skipped_updates == res.sweeps_run + (init_mode == "auto")
+    # one skip per sweep, plus the ADF-S start's
+    assert res.skipped_updates == res.sweeps_run + 1
 
 
 @pytest.mark.parametrize("smoothing", [False, True], ids=["adf", "adf-s"])
@@ -349,8 +383,6 @@ def test_config_validation():
         EpConfig(damping=1.2)
     with pytest.raises(ValueError):
         EpConfig(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        EpConfig(init_mode="warm")
 
 
 def test_observation_validation():

@@ -50,8 +50,8 @@ from .processes import (
     linear_sde,
     lotka_volterra,
 )
-from .simulate import RNG_ALGORITHM, euler_maruyama, gillespie, \
-    sample_observations
+from .simulate import RNG_ALGORITHM, SEED_LIMIT, euler_maruyama, \
+    gillespie, sample_observations
 
 METHODS = ("ep", "adf", "adf-s")
 
@@ -605,6 +605,19 @@ def cmd_benchmark(cfg: ExperimentConfig, out=None, workers: int = 1
 # entry point
 
 
+def _check_seed(cfg: ExperimentConfig, command: str, name: str) -> None:
+    """Reject a seed whose largest derived key the generator cannot take:
+    simulate's seed + 1, or the last replicate's observation seed in
+    benchmark, which validate checks too (infer draws nothing)."""
+    if command == "infer":
+        return
+    last = cfg.seed + (1 if command == "simulate"
+                       else 2 * len(cfg.variances) * cfg.replicates - 1)
+    if last >= SEED_LIMIT:
+        raise ConfigError(f"{name}: {command} derives the generator key "
+                          f"{last} from it; keys must be below 2**128")
+
+
 def _int_at_least(least: int):
     """An argparse type: an integer of at least least, or exit 2."""
     def parse(text: str) -> int:
@@ -655,11 +668,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        seed = getattr(args, "seed", None)
+        if seed is not None:
+            cfg.seed = seed
+        _check_seed(cfg, args.command, "seed" if seed is None else "--seed")
         if args.command == "validate":
             print(f"config valid: {args.config}")
             return 0
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.command == "simulate":
             paths = cmd_simulate(cfg, args.out)
             print(paths["trajectory"])

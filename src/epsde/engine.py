@@ -6,30 +6,30 @@ process written as the prior diffusion tilted by site factors: one
 canonical site per discrete observation and a piecewise-constant
 canonical site field for the continuous loss.
 
-run_ep iterates full parallel sweeps.  A run with non-Gaussian
-observations and no continuous loss continues from ADF-S (EP is ADF
-made iterative, with ADF as its first pass; Minka 2001): it starts from
-ADF's sites, and its first sweep reads ADF-S's smoothed path, the one
-its own passes at those sites would give.  Every other run starts from
-_init_sites: Gaussian observation sites are exact there already, and
-with a loss the continuous site field, not the observation sites, sets
-the sweep count.  Each sweep but that first one runs a forward and a
-backward pass at the current sites.  Each sweep reads the smoothed
-marginal at every node, forms cavities for all sites from that path,
-moment-matches the tilted distributions, and applies the damped update
-jointly.  Once the largest applied parameter change falls below the
-tolerance, or the sweep budget is spent, one more forward/backward
-evaluation at the fixed sites produces the returned marginals and the
-free-energy estimate of the log evidence.
+run_ep iterates full parallel sweeps from a start path.  A run with
+non-Gaussian observations and no continuous loss continues from ADF-S
+(EP is ADF made iterative, with ADF as its first pass; Minka 2001): it
+starts from ADF's sites and ADF-S's smoothed path, the one its own
+passes at those sites would give.  Every other run starts from
+_init_sites and a forward and a backward pass there: Gaussian
+observation sites are exact there already, and with a loss the
+continuous site field, not the observation sites, sets the sweep count.
+Each sweep matches every observation site at the current path
+(_match_sites: cavities from the smoothed marginals, tilted moments),
+applies the damped update jointly, and runs a forward and a backward
+pass at the new sites.  Once the largest applied parameter change falls
+below the tolerance, or the sweep budget is spent, the match at the
+last path gives the free-energy estimate of the log evidence there.
 
 run_adf is one forward pass (filtering.forward_pass) with a site hook,
-so ADF and EP run the same propagation kernel and guard policy.  At each node the hook
-sets the observation site that moves the marginal to the tilted one,
-and the continuous site of the cell starting there from the filtered
-moments.  With smoothing enabled a backward pass follows; the realized
-sites make the result exactly one parallel EP step in the conjugate
-case.  Both methods match sites with _match_site and report the free
-energy at their returned path (_log_evidence).
+so ADF and EP run the same propagation kernel and guard policy.  At
+each node the hook sets the observation site that moves the marginal to
+the tilted one (_match_site), and the continuous site of the cell
+starting there from the filtered moments.  With smoothing enabled a
+backward pass follows; the realized sites make the result exactly one
+parallel EP step in the conjugate case.  Both methods report the free
+energy at their returned path from one _match_sites there, the step
+EP's sweeps take.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    DivergedMoments,
-    ImproperCavity,
-    NonPositiveDefinite,
-    QuadratureUnderflow,
-)
+from .errors import GridError, ImproperCavity, QuadratureUnderflow
 from .filtering import (
     MarginalPath,
     SiteSet,
@@ -117,7 +112,8 @@ class EpResult:
     always checked against the applied site change, so a result with
     converged False is still a valid, fully evaluated state.  EP's
     sweeps_run is the length of max_site_delta_history.  psd_repairs
-    counts the run's PSD repairs, ADF-S's once for an EP run that
+    counts the run's PSD repairs, in its passes and in every site match,
+    the evidence's included; ADF-S's count once for an EP run that
     continues from ADF-S (see run_ep).
     """
 
@@ -168,9 +164,10 @@ def _match_site(obs_model, y: np.ndarray, marginal: GaussianMoments,
     matches against the marginal itself.
 
     Returns the proposed site (h, J) that moves the cavity to the tilted
-    moments, the tilted moments and the tilted log partition, or None
-    when the site cannot be matched there: a degenerate or improper
-    cavity, or quadrature underflow.
+    moments, the tilted moments and the site's free-energy term (the
+    tilted log partition minus the marginal's), or None when the site
+    cannot be matched there: a degenerate or improper cavity, or
+    quadrature underflow.
     """
     nat = moments_to_canonical(marginal)
     cavity = GaussianCanonical(nat.h - h, nat.J - J)
@@ -182,7 +179,30 @@ def _match_site(obs_model, y: np.ndarray, marginal: GaussianMoments,
     except (ImproperCavity, QuadratureUnderflow):
         return None
     post = moments_to_canonical(tilted)
-    return post.h - cavity.h, post.J - cavity.J, tilted, log_z
+    return (post.h - cavity.h, post.J - cavity.J, tilted,
+            log_z - log_partition(nat))
+
+
+def _match_sites(obs_model, values: np.ndarray, sites: SiteSet,
+                 path: MarginalPath, counter):
+    """Match every observation site at a path.
+
+    Returns the proposed (h, J), where a site that cannot be matched
+    keeps its value, the mask of those sites, and each site's
+    free-energy term, NaN where it is unmatched.
+    """
+    prop_h = sites.obs_h.copy()
+    prop_J = sites.obs_J.copy()
+    unmatched = np.zeros(len(values), dtype=bool)
+    terms = np.full(len(values), np.nan)
+    for s, k in enumerate(sites.obs_idx):
+        matched = _match_site(obs_model, values[s], path.node(int(k)),
+                              sites.obs_h[s], sites.obs_J[s], counter)
+        if matched is None:
+            unmatched[s] = True
+        else:
+            prop_h[s], prop_J[s], _, terms[s] = matched
+    return prop_h, prop_J, unmatched, terms
 
 
 # moment matching exp(-a s^4) against a flat measure: the matched
@@ -232,21 +252,19 @@ def _site_field_dot_f(sites: SiteSet, means: np.ndarray, covs: np.ndarray
     return 0.5 * float((left + right).sum())
 
 
-def free_energy(fwd_log_norm: float, sites: SiteSet, smoothed: MarginalPath,
-                tilted_log_partitions, grid: TimeGrid, loss) -> float:
+def free_energy(fwd_log_norm: float, site_terms, sites: SiteSet,
+                smoothed: MarginalPath, grid: TimeGrid, loss) -> float:
     """Variational estimate of the log evidence.
 
-    Combines the forward-pass log normalizer with the per-observation
-    tilted corrections and subtracts the trapezoid integrals of the
-    expected loss and of the site field against the smoothed moments.
-    Raises NonPositiveDefinite when a smoothed node at an observation is
-    degenerate, which signals an unconverged or diverging state.
+    Adds to the forward-pass log normalizer the observation sites'
+    free-energy terms (see _match_sites), in site order, and subtracts
+    the trapezoid integrals of the expected loss and of the site field
+    against the smoothed moments.  A NaN term, a site that cannot be
+    matched, makes the estimate NaN.
     """
     total = float(fwd_log_norm)
-    tilted = np.asarray(tilted_log_partitions, dtype=float)
-    for s, k in enumerate(sites.obs_idx):
-        nat = moments_to_canonical(smoothed.node(int(k)))
-        total += tilted[s] - log_partition(nat)
+    for term in site_terms:
+        total += term
     dt = grid.dt
     if loss is not None:
         u = expected_loss(loss, smoothed, grid.times)
@@ -256,21 +274,6 @@ def free_energy(fwd_log_norm: float, sites: SiteSet, smoothed: MarginalPath,
     return total
 
 
-def _log_evidence(obs_model, values, sites: SiteSet, log_norm: float,
-                  path: MarginalPath, grid: TimeGrid, loss, counter) -> float:
-    """Free energy at the sites and the path a method reports, with the
-    tilted log partitions taken at that path's cavities; NaN when any
-    site cannot be matched there."""
-    tilted = np.empty(len(values))
-    for s, k in enumerate(sites.obs_idx):
-        matched = _match_site(obs_model, values[s], path.node(int(k)),
-                              sites.obs_h[s], sites.obs_J[s], counter)
-        if matched is None:
-            return float("nan")
-        tilted[s] = matched[3]
-    return free_energy(log_norm, sites, path, tilted, grid, loss)
-
-
 def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
            init: GaussianMoments, grid: TimeGrid,
            cfg: EpConfig | None = None) -> EpResult:
@@ -278,80 +281,69 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
 
     Never raises on non-convergence: the result carries converged=False
     and the per-sweep change history instead.  Numerical failures
-    propagate with the sweep index attached; one raised in the starting
-    ADF-S run carries sweep = 1, one raised in the final evaluation at
-    the returned sites sweep = sweeps_run + 1.  A run that continues
-    from ADF-S starts with its sites, so a site ADF could not match
-    starts at zero; its skipped updates add to skipped_updates, and
-    psd_repairs counts ADF-S's repairs once, then those of EP's own
-    passes and matches.  A site that cannot be matched in a sweep keeps
-    its value and counts as one skipped update.
+    propagate with the sweep index attached: one raised in the start
+    (ADF-S, or the passes at _init_sites) carries sweep = 1, one raised
+    in the passes after sweep s sweep = s + 1, so one raised in the
+    final evaluation at the returned sites sweep = sweeps_run + 1.  A
+    run that continues from ADF-S starts with its sites, so a site ADF
+    could not match starts at zero; its skipped updates add to
+    skipped_updates, and psd_repairs counts ADF-S's repairs once, then
+    those of EP's own passes and matches.  A site that cannot be matched
+    in a sweep keeps its value and counts as one skipped update.
     """
     cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
     idx, values = _snap_observations(obs, grid, dim)
     counter = RepairCounter()
-    if loss is None and not isinstance(obs_model, GaussianObs):
-        try:
-            adfs = run_adf(spec, obs, obs_model, None, init, grid,
-                           smoothing=True)
-        except (NonPositiveDefinite, DivergedMoments) as err:
-            err.sweep = 1
-            raise
-        sites, smoothed = adfs.sites, adfs.smoothed
-        counter.add(adfs.psd_repairs)
-        skipped = adfs.skipped_updates
-    else:
-        sites = _init_sites(obs_model, values, loss, grid, dim, idx)
-        smoothed = None
-        skipped = 0
     history = []
     converged = False
+    sweep = 1
+    try:
+        if loss is None and not isinstance(obs_model, GaussianObs):
+            adfs = run_adf(spec, obs, obs_model, None, init, grid,
+                           smoothing=True)
+            sites, smoothed = adfs.sites, adfs.smoothed
+            counter.add(adfs.psd_repairs)
+            skipped = adfs.skipped_updates
+        else:
+            sites = _init_sites(obs_model, values, loss, grid, dim, idx)
+            fwd = forward_pass(spec, sites, init, grid, counter=counter)
+            smoothed = backward_pass(spec, fwd, counter=counter)
+            skipped = 0
 
-    # sweep max_sweeps + 1 only evaluates the final state
-    for sweep in range(1, cfg.max_sweeps + 2):
-        try:
-            if sweep > 1 or smoothed is None:
-                fwd = forward_pass(spec, sites, init, grid, counter=counter)
-                smoothed = backward_pass(spec, fwd, counter=counter)
+        # the loop stops only at a path its own passes made, so fwd is
+        # that path's forward pass
+        while True:
+            prop_obs_h, prop_obs_J, unmatched, terms = _match_sites(
+                obs_model, values, sites, smoothed, counter)
             if converged or sweep > cfg.max_sweeps:
-                log_evidence = _log_evidence(obs_model, values, sites,
-                                             fwd.log_norm, smoothed, grid,
-                                             loss, counter)
                 break
-
-            prop_obs_h = sites.obs_h.copy()
-            prop_obs_J = sites.obs_J.copy()
-            for s, k in enumerate(idx):
-                matched = _match_site(obs_model, values[s],
-                                      smoothed.node(int(k)), sites.obs_h[s],
-                                      sites.obs_J[s], counter)
-                if matched is None:
-                    skipped += 1
-                else:
-                    prop_obs_h[s], prop_obs_J[s] = matched[:2]
-
-            prop_cont_h = sites.cont_h
-            prop_cont_J = sites.cont_J
+            skipped += int(unmatched.sum())
+            prop_cont_h, prop_cont_J = sites.cont_h, sites.cont_J
             if loss is not None:
                 prop_cont_h, prop_cont_J = continuous_site_update(
                     loss, smoothed, grid.times)
-        except (NonPositiveDefinite, DivergedMoments) as err:
-            err.sweep = sweep
-            raise
 
-        max_delta = 0.0
-        for site, prop in ((sites.obs_h, prop_obs_h),
-                           (sites.obs_J, prop_obs_J),
-                           (sites.cont_h, prop_cont_h),
-                           (sites.cont_J, prop_cont_J)):
-            step = cfg.damping * (prop - site)
-            if step.size:
-                max_delta = max(max_delta, float(np.abs(step).max()))
-            site += step
+            max_delta = 0.0
+            for site, prop in ((sites.obs_h, prop_obs_h),
+                               (sites.obs_J, prop_obs_J),
+                               (sites.cont_h, prop_cont_h),
+                               (sites.cont_J, prop_cont_J)):
+                step = cfg.damping * (prop - site)
+                if step.size:
+                    max_delta = max(max_delta, float(np.abs(step).max()))
+                site += step
+            history.append(max_delta)
+            converged = max_delta <= cfg.tolerance
 
-        history.append(max_delta)
-        converged = max_delta <= cfg.tolerance
+            sweep += 1
+            fwd = forward_pass(spec, sites, init, grid, counter=counter)
+            smoothed = backward_pass(spec, fwd, counter=counter)
+        log_evidence = free_energy(fwd.log_norm, terms, sites, smoothed, grid,
+                                   loss)
+    except GridError as err:
+        err.sweep = sweep
+        raise
 
     return EpResult(smoothed=smoothed, sites=sites,
                     log_evidence=log_evidence, sweeps_run=len(history),
@@ -384,7 +376,7 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     obs_slot = {int(i): s for s, i in enumerate(idx)}
     unmatched = np.zeros(len(idx), dtype=bool)
 
-    def match_sites(k, mean, cov):
+    def set_sites(k, mean, cov):
         s = obs_slot.get(k)
         if s is not None:
             matched = _match_site(obs_model, values[s],
@@ -404,12 +396,12 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             sites.cont_J[k] = lam.J
 
     fwd = forward_pass(spec, sites, init, grid, counter=counter,
-                       site_hook=match_sites)
+                       site_hook=set_sites)
     path = fwd.filtered
     if smoothing:
         path = backward_pass(spec, fwd, counter=counter)
-    log_evidence = _log_evidence(obs_model, values, sites, fwd.log_norm, path,
-                                 grid, loss, counter)
+    terms = _match_sites(obs_model, values, sites, path, counter)[3]
+    log_evidence = free_energy(fwd.log_norm, terms, sites, path, grid, loss)
 
     return EpResult(smoothed=path, sites=sites, log_evidence=log_evidence,
                     sweeps_run=1, converged=True,

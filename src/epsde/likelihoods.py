@@ -70,27 +70,26 @@ class GaussianObs:
 class LogNormalObs:
     """Componentwise log-normal observation of a positive state.
 
-    With the default "mean_variance" parameterization the log-normal for
-    component x is chosen so that E[y | x] = x and Var[y | x] = variance:
-
-        s2 = log(1 + variance / x^2),   location = log x - s2 / 2.
-
-    The "multiplicative" alternative is y = x exp(eps), eps ~ N(0, variance).
-    Both densities are zero for x <= 0.  The variance must be finite and
-    positive.
+    The log-normal for component x is chosen so that E[y | x] = x and
+    Var[y | x] = variance (see log_params); its density is zero for
+    x <= 0.  The variance must be finite and positive.
     """
 
     variance: float
-    parameterization: str = "mean_variance"
 
     def __post_init__(self):
         variance = float(finite_array(self.variance, "variance", ()))
         if variance <= 0:
             raise ValueError("variance: must be positive")
-        if self.parameterization not in ("mean_variance", "multiplicative"):
-            raise ValueError("parameterization: unknown parameterization "
-                             f"{self.parameterization!r}")
         object.__setattr__(self, "variance", variance)
+
+    def log_params(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Variance and location of log y at positive states x:
+
+            s2 = log(1 + variance / x^2),   location = log x - s2 / 2.
+        """
+        s2 = np.log1p(self.variance / x ** 2)
+        return s2, np.log(x) - 0.5 * s2
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +156,7 @@ def log_normal_logpdf(y: np.ndarray, x: np.ndarray, model: LogNormalObs
     x = np.asarray(x, dtype=float)
     valid = np.all(x > 0.0, axis=-1)
     xs = np.where(x > 0.0, x, 1.0)
-    if model.parameterization == "mean_variance":
-        s2 = np.log1p(model.variance / xs ** 2)
-        loc = np.log(xs) - 0.5 * s2
-    else:
-        s2 = np.full_like(xs, model.variance)
-        loc = np.log(xs)
+    s2, loc = model.log_params(xs)
     z = np.log(y) - loc
     comp = -np.log(y) - 0.5 * np.log(s2) - 0.5 * LOG_2PI - 0.5 * z ** 2 / s2
     out = comp.sum(axis=-1)
@@ -195,10 +189,7 @@ def tilted_moments(model, y, cavity: GaussianCanonical, *,
     log int p(y | x) exp(cavity . f(x)) dx.  Raises ImproperCavity when
     the cavity precision is not positive definite and
     QuadratureUnderflow when the likelihood vanishes at every node.
-    y may be a plain vector or an Observation.
     """
-    if isinstance(y, Observation):
-        y = y.value
     y = np.atleast_1d(np.asarray(y, dtype=float))
     try:
         cavity_m = canonical_to_moments(cavity)

@@ -15,7 +15,7 @@ both expanded symbolically into polynomial form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class SdeSpec:
     dim: int
     drift: tuple[PolynomialMap, ...]
     diffusion: tuple[tuple[PolynomialMap, ...], ...]
-    params: dict = field(default_factory=dict)
     source: "MjpSpec | None" = None
 
     def __post_init__(self):
@@ -155,7 +154,6 @@ class MjpSpec:
     dim: int
     stoich: np.ndarray   # (dim, n_reactions) integer state changes
     rates: tuple[PolynomialMap, ...]
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         stoich = finite_array(self.stoich, "stoich")
@@ -203,7 +201,7 @@ def cle_from_mjp(m: MjpSpec) -> SdeSpec:
             diffusion[i][j] = p
             diffusion[j][i] = p
     return SdeSpec(d, tuple(drift), tuple(tuple(r) for r in diffusion),
-                   params=dict(m.params), source=m)
+                   source=m)
 
 
 def lotka_volterra(k0: float = 5.0, k1: float = 0.3, k2: float = 0.004,
@@ -219,16 +217,16 @@ def lotka_volterra(k0: float = 5.0, k1: float = 0.3, k2: float = 0.004,
 
     Each rate constant must be finite and non-negative.
     """
-    params = {"k0": k0, "k1": k1, "k2": k2, "k3": k3}
-    for name, k in params.items():
-        params[name] = float(finite_array(k, name, ()))
-        if params[name] < 0:
+    constants = {"k0": k0, "k1": k1, "k2": k2, "k3": k3}
+    for name, k in constants.items():
+        constants[name] = float(finite_array(k, name, ()))
+        if constants[name] < 0:
             raise ValueError(f"{name}: must be non-negative")
     stoich = np.array([[1, 1, -1, 0],
                        [0, 0, 1, -1]], dtype=np.int64)
     rates = tuple(PolynomialMap.from_terms(2, [(k, e)]) for k, e in zip(
-        params.values(), ((0, 0), (1, 0), (1, 1), (0, 1))))
-    return MjpSpec(2, stoich, rates, params=params)
+        constants.values(), ((0, 0), (1, 0), (1, 1), (0, 1))))
+    return MjpSpec(2, stoich, rates)
 
 
 def linear_sde(A, b) -> SdeSpec:
@@ -253,4 +251,4 @@ def linear_sde(A, b) -> SdeSpec:
     diffusion = tuple(
         tuple(PolynomialMap.constant(d, float(b[i, j])) for j in range(d))
         for i in range(d))
-    return SdeSpec(d, drift, diffusion, params={})
+    return SdeSpec(d, drift, diffusion)

@@ -22,6 +22,8 @@ from .likelihoods import GaussianObs, LogNormalObs, Observation
 from .processes import MjpSpec, SdeSpec, evaluate_polynomial
 
 RNG_ALGORITHM = "philox4x64"
+# Philox takes keys in [0, 2**128)
+SEED_LIMIT = 2 ** 128
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -219,12 +221,8 @@ def observe_states(times, states, model, *, seed: int) -> list[Observation]:
             raise ValueError(
                 "log-normal observations require positive states")
         z = rng.standard_normal(states.shape)
-        if model.parameterization == "mean_variance":
-            s2 = np.log1p(model.variance / states ** 2)
-            loc = np.log(states) - 0.5 * s2
-            values = np.exp(loc + np.sqrt(s2) * z)
-        else:
-            values = states * np.exp(np.sqrt(model.variance) * z)
+        s2, loc = model.log_params(states)
+        values = np.exp(loc + np.sqrt(s2) * z)
     else:
         raise TypeError(f"unknown observation model {type(model).__name__}")
     return [Observation(t, v) for t, v in zip(times, values)]

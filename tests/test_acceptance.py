@@ -313,7 +313,7 @@ def _check_ssa_poisson_statistics() -> None:
     rate, horizon, n0, n_paths = 4.0, 5.0, 3, 3000
     lam = rate * horizon
     birth = MjpSpec(1, np.array([[1]]),
-                    (PolynomialMap.constant(1, rate),), params={})
+                    (PolynomialMap.constant(1, rate),))
     ens = gillespie_ensemble(birth, (n0,), 0.0, horizon,
                              np.array([horizon]), n_paths=n_paths, seed=3)
     counts = ens[:, 0, 0].astype(float) - n0

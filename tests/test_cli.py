@@ -99,6 +99,9 @@ def test_config_errors_name_the_key_path(tmp_path):
          "observations.model.variance"),
         ("observations: {model: {kind: log_normal, variance: .inf}}",
          "observations.model.variance"),
+        ("observations: {model: {kind: log_normal, variance: 750.0, "
+         "parameterization: multiplicative}}",
+         "observations.model.parameterization"),
         ("model: {kind: linear, A: [[-1.0]], b: [[1.0]]}\n"
          "observations: {model: {kind: gaussian, R: [[-0.2]]}}",
          "observations.model.R"),
@@ -509,6 +512,41 @@ def test_seed_option_rejects_negative(tmp_path, capsys):
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+# a key of 2**128 is one past Philox's range; in benchmark seed + 1 is
+# in range and the last replicate's observation seed, seed + 2 * 40 - 1,
+# is not
+@pytest.mark.parametrize("command, seed, option", [
+    ("simulate", 2 ** 128 - 1, False), ("simulate", 2 ** 128 - 1, True),
+    ("benchmark", 2 ** 128 - 79, False), ("benchmark", 2 ** 128 - 79, True),
+    ("validate", 2 ** 128 - 79, False)],
+    ids=["simulate-key", "simulate-option", "benchmark-key",
+         "benchmark-option", "validate-key"])
+def test_seed_whose_derived_keys_pass_the_generator_is_exit_2(
+        tmp_path, capsys, command, seed, option):
+    text = LV_SMALL_YAML if option else \
+        LV_SMALL_YAML.replace("seed: 5", f"seed: {seed}")
+    argv = [command, "--config", str(_write(tmp_path, text))]
+    if option:
+        argv += ["--seed", str(seed)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {'--seed' if option else 'seed'}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("simulate", 2 ** 128 - 2), ("validate", 2 ** 128 - 80)],
+    ids=["simulate", "validate"])
+def test_seed_whose_last_key_is_in_range_runs(tmp_path, command, seed):
+    text = LV_SMALL_YAML.replace("seed: 5", f"seed: {seed}")
+    argv = [command, "--config", str(_write(tmp_path, text))]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
 
 
 def test_benchmark_failure_names_method_and_first_replicate(tmp_path,

@@ -225,6 +225,50 @@ def test_ep_runs_one_pass_pair_per_sweep_and_one_to_evaluate(case,
                      "backward": res.sweeps_run + 1}
 
 
+def _quartic_ep_args():
+    # no ADF-S start: a run with a loss starts from _init_sites
+    spec, obs, model, _, prior, grid = _log_normal_ep_args()
+    loss = QuarticLoss(weight=[1e-3], center=[20.0], window=[[2.0, 5.0]])
+    return spec, obs, model, loss, prior, grid
+
+
+@pytest.mark.parametrize("run, case, pinned", [
+    (run_ep, _log_normal_ep_args, "-13.169176329735592"),
+    (lambda *args: run_adf(*args, smoothing=True), _log_normal_ep_args,
+     "-13.16760678156674"),
+    (run_ep, _quartic_ep_args, "-14.525753563790573")],
+    ids=["ep", "adf-s", "ep-quartic"])
+def test_log_evidence_and_counts_are_pinned(run, case, pinned):
+    # repr of a float round-trips, so equal strings mean equal bits
+    res = run(*case())
+    assert (repr(float(res.log_evidence)), res.psd_repairs,
+            res.skipped_updates) == (pinned, 0, 0)
+
+
+@pytest.mark.parametrize("nth", ["start", "mid-sweep", "final"])
+def test_error_sweep_attribution(nth, monkeypatch):
+    # the start's backward pass belongs to sweep 1, the passes after
+    # sweep s to sweep s + 1, and the last passes, those of the final
+    # evaluation, to sweeps_run + 1
+    sweeps_run = run_ep(*_log_normal_ep_args()).sweeps_run
+    raise_at, sweep = {"start": (1, 1), "mid-sweep": (2, 2),
+                       "final": (sweeps_run + 1, sweeps_run + 1)}[nth]
+    calls = 0
+    backward = engine.backward_pass
+
+    def failing(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == raise_at:
+            raise DivergedMoments("injected", 7)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "backward_pass", failing)
+    with pytest.raises(DivergedMoments) as exc:
+        run_ep(*_log_normal_ep_args())
+    assert (exc.value.sweep, calls) == (sweep, raise_at)
+
+
 def _untractable_case():
     # a prior pinned at negative values makes the log-normal tilted
     # integral vanish at every quadrature node: the update is skipped

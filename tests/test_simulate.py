@@ -35,12 +35,11 @@ from _oracles import gillespie_ensemble
 
 
 def _pure_birth(rate=4.0):
-    return MjpSpec(1, np.array([[1]]), (PolynomialMap.constant(1, rate),),
-                   params={})
+    return MjpSpec(1, np.array([[1]]), (PolynomialMap.constant(1, rate),))
 
 
 def test_zero_rates_absorb_immediately():
-    mjp = MjpSpec(1, np.array([[1]]), (PolynomialMap.zero(1),), params={})
+    mjp = MjpSpec(1, np.array([[1]]), (PolynomialMap.zero(1),))
     traj = gillespie(mjp, (7,), 0.0, 10.0, seed=1)
     assert len(traj.times) == 1
     assert traj.states[0, 0] == 7
@@ -129,8 +128,7 @@ def test_jump_simulation_deterministic_in_seed():
 
 def test_negative_rate_raises():
     bad = MjpSpec(1, np.array([[1]]),
-                  (PolynomialMap.from_terms(1, [(1.0, (1,)), (-5.0, (0,))]),),
-                  params={})
+                  (PolynomialMap.from_terms(1, [(1.0, (1,)), (-5.0, (0,))]),))
     with pytest.raises(NegativeRate):
         gillespie(bad, (0,), 0.0, 1.0, seed=8)
     with pytest.raises(NegativeRate):
@@ -185,8 +183,7 @@ def test_euler_maruyama_deterministic_and_shaped():
 def test_euler_maruyama_clamps_negative_diffusion():
     # scalar diffusion b(x) = x goes negative once the path crosses zero
     spec = SdeSpec(1, (PolynomialMap.constant(1, -1.0),),
-                   ((PolynomialMap.from_terms(1, [(1.0, (1,))]),),),
-                   params={})
+                   ((PolynomialMap.from_terms(1, [(1.0, (1,))]),),))
     traj = euler_maruyama(spec, (0.05,), 0.0, 2.0, n_steps=200, seed=12)
     assert traj.n_clamps > 0
     assert np.isfinite(traj.states).all()
@@ -194,7 +191,7 @@ def test_euler_maruyama_clamps_negative_diffusion():
 
 def test_euler_maruyama_clamps_negative_rates():
     death = MjpSpec(1, np.array([[-1]]),
-                    (PolynomialMap.from_terms(1, [(5.0, (1,))]),), params={})
+                    (PolynomialMap.from_terms(1, [(5.0, (1,))]),))
     spec = cle_from_mjp(death)
     _, states, n_clamps = euler_maruyama_ensemble(
         spec, (0.5,), 0.0, 2.0, n_steps=200, n_paths=50, seed=13)
@@ -229,17 +226,6 @@ def test_lognormal_observation_sampling_moments():
         assert abs(vals[:, k].var(ddof=1) - v) < 0.1 * v
 
 
-def test_lognormal_multiplicative_sampling():
-    vm = 0.04
-    x = np.array([80.0])
-    n = 100_000
-    obs = observe_states(np.zeros(n), np.tile(x, (n, 1)),
-                              LogNormalObs(vm, "multiplicative"), seed=16)
-    logs = np.log([o.value[0] for o in obs])
-    assert abs(logs.mean() - np.log(80.0)) < 4 * np.sqrt(vm / n)
-    assert abs(logs.var(ddof=1) - vm) < 4 * vm * np.sqrt(2 / n)
-
-
 def test_observation_input_validation():
     with pytest.raises(ValueError):
         observe_states([0.0, 1.0], [[1.0]], GaussianObs(np.eye(1)),
@@ -250,7 +236,7 @@ def test_observation_input_validation():
 
 def test_sample_observations_reads_trajectory_states():
     mjp = MjpSpec(1, np.array([[1]]),
-                  (PolynomialMap.from_terms(1, [(5.0, (0,))]),), params={})
+                  (PolynomialMap.from_terms(1, [(5.0, (0,))]),))
     traj = gillespie(mjp, np.array([3]), 0.0, 10.0, seed=21)
     times = [0.5, 4.0, 9.5]
     obs = sample_observations(traj, times, LogNormalObs(1e-8), seed=22)

@@ -270,6 +270,17 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("observations.times: outside horizon")
     if obs_times.size > 1 and (np.diff(obs_times) <= 0).any():
         raise ConfigError("observations.times: must be strictly increasing")
+    # inference applies each observation at its nearest grid node, one
+    # observation per node
+    grid = TimeGrid(t0, t1, n_steps)
+    nodes = [grid.snap_index(t) for t in obs_times]
+    for s in range(1, len(nodes)):
+        if nodes[s] == nodes[s - 1]:
+            key = "times" if "times" in obs_node else "count"
+            raise ConfigError(
+                f"observations.{key}: times {obs_times[s - 1]:g} and "
+                f"{obs_times[s]:g} share grid node {nodes[s]} "
+                f"(t = {grid.times[nodes[s]]:g}); use a finer grid")
     node = obs_node.get("model")
     obs_model = (LogNormalObs(750.0) if node is None
                  else _build(node, "observations.model", _OBS_MODELS))
@@ -420,10 +431,12 @@ def cmd_simulate(cfg: ExperimentConfig, out=None, seed=None) -> dict:
 
 
 def _run_method(cfg: ExperimentConfig, obs: list[Observation],
-                grid: TimeGrid) -> EpResult:
+                grid: TimeGrid, adfs: EpResult | None = None) -> EpResult:
+    """Run cfg.method; EP continues from adfs, this problem's ADF-S
+    result, when the caller has one (see run_ep)."""
     if cfg.method == "ep":
         return run_ep(cfg.sde, obs, cfg.obs_model, cfg.loss, cfg.init, grid,
-                      cfg.ep)
+                      cfg.ep, adfs=adfs)
     return run_adf(cfg.sde, obs, cfg.obs_model, cfg.loss, cfg.init, grid,
                    smoothing=cfg.method == "adf-s")
 
@@ -496,6 +509,10 @@ def _rms(err: np.ndarray) -> float:
 
 
 def _replicate_job(args) -> dict:
+    """One benchmark replicate: simulate a path, sample log-normal
+    observations, run ADF-S, then EP continuing from that ADF-S result,
+    so ADF-S runs once.  Both go through this module's run_adf and
+    run_ep (see _run_method), looked up at call time."""
     cfg, variance, seed_traj, seed_obs = args
     out = {"variance": variance, "seed": seed_traj, "error": None}
     # the error string names the stage that raised
@@ -509,9 +526,11 @@ def _replicate_job(args) -> dict:
         nodes = np.array([grid.snap_index(t) for t in cfg.obs_times])
         truth_obs = traj.state_at(cfg.obs_times).astype(float)
         truth_path = traj.state_at(grid.times).astype(float)
+        res = None
         for stage in ("adf-s", "ep"):
+            # EP's adfs is the ADF-S result of the stage before
             res = _run_method(replace(cfg, method=stage, obs_model=model,
-                                      loss=None), obs, grid)
+                                      loss=None), obs, grid, adfs=res)
             out[stage] = {
                 "rmse_observations": _rms(res.smoothed.means[nodes]
                                           - truth_obs),

@@ -10,7 +10,8 @@ run_ep iterates full parallel sweeps from a start path.  A run with
 non-Gaussian observations and no continuous loss continues from ADF-S
 (EP is ADF made iterative, with ADF as its first pass; Minka 2001): it
 starts from ADF's sites and ADF-S's smoothed path, the one its own
-passes at those sites would give.  Every other run starts from
+passes at those sites would give, or from the ADF-S result its caller
+hands in (the benchmark runs ADF-S anyway).  Every other run starts from
 _init_sites and a forward and a backward pass there: Gaussian
 observation sites are exact there already, and with a loss the
 continuous site field, not the observation sites, sets the sweep count.
@@ -23,17 +24,19 @@ last path gives the free-energy estimate of the log evidence there.
 
 run_adf is one forward pass (filtering.forward_pass) with a site hook,
 so ADF and EP run the same propagation kernel and guard policy.  At
-each node the hook sets the observation site that moves the marginal to
-the tilted one (_match_site), and the continuous site of the cell
-starting there from the filtered moments.  With smoothing enabled a
-backward pass follows; the realized sites make the result exactly one
-parallel EP step in the conjugate case.  Both methods report the free
+each observation node the hook sets the site that moves the marginal to
+the tilted one (_match_site); with a loss it runs at every node and
+also sets the continuous site of the cell starting there from the
+filtered moments.  With smoothing enabled a backward pass follows; the
+realized sites make the result exactly one parallel EP step in the
+conjugate case.  Both methods report the free
 energy at their returned path from one _match_sites there, the step
 EP's sweeps take.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -276,7 +279,8 @@ def free_energy(fwd_log_norm: float, site_terms, sites: SiteSet,
 
 def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
            init: GaussianMoments, grid: TimeGrid,
-           cfg: EpConfig | None = None) -> EpResult:
+           cfg: EpConfig | None = None, *,
+           adfs: EpResult | None = None) -> EpResult:
     """Parallel expectation propagation over the whole grid.
 
     Never raises on non-convergence: the result carries converged=False
@@ -290,19 +294,41 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     skipped_updates, and psd_repairs counts ADF-S's repairs once, then
     those of EP's own passes and matches.  A site that cannot be matched
     in a sweep keeps its value and counts as one skipped update.
+
+    A caller that already holds this problem's ADF-S result,
+    run_adf(..., smoothing=True) on the same arguments, hands it in as
+    adfs, and the run continues from it instead of computing it again;
+    the result is the same, bit for bit, and adfs is not modified.
+    ValueError names adfs when the run does not continue from ADF-S (a
+    loss, or Gaussian observations), when adfs is not an adf-s result,
+    or when its observation nodes or grid differ from this run's.
     """
     cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
     idx, values = _snap_observations(obs, grid, dim)
+    from_adfs = loss is None and not isinstance(obs_model, GaussianObs)
+    if adfs is not None:
+        if not from_adfs:
+            raise ValueError("adfs: this run does not continue from ADF-S "
+                             "(it has a loss or Gaussian observations)")
+        if adfs.method != "adf-s":
+            raise ValueError(f"adfs: expected an adf-s result, got "
+                             f"{adfs.method!r}")
+        if not (np.array_equal(adfs.sites.obs_idx, idx)
+                and np.array_equal(adfs.smoothed.times, grid.times)):
+            raise ValueError("adfs: observation nodes or grid differ from "
+                             "this run's")
     counter = RepairCounter()
     history = []
     converged = False
     sweep = 1
     try:
-        if loss is None and not isinstance(obs_model, GaussianObs):
-            adfs = run_adf(spec, obs, obs_model, None, init, grid,
-                           smoothing=True)
-            sites, smoothed = adfs.sites, adfs.smoothed
+        if from_adfs:
+            if adfs is None:
+                adfs = run_adf(spec, obs, obs_model, None, init, grid,
+                               smoothing=True)
+            # the sweeps update the sites in place
+            sites, smoothed = copy.deepcopy(adfs.sites), adfs.smoothed
             counter.add(adfs.psd_repairs)
             skipped = adfs.skipped_updates
         else:
@@ -360,11 +386,11 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
 
     The forward pass runs with a hook that, at each observation node,
     matches the site that moves the marginal to the tilted one (its
-    cavity is the marginal itself, a zero site), and computes the
-    continuous site of each cell from the moments at its left node.  A
-    site that cannot be matched is left at zero and counted as skipped.
-    The hook reads only the marginal, so the pass may replay it (see
-    filtering.forward_pass).  The log evidence is the free energy at
+    cavity is the marginal itself, a zero site), and with a loss
+    computes the continuous site of each cell from the moments at its
+    left node.  A site that cannot be matched is left at zero and
+    counted as skipped.  The hook reads only the marginal, so the pass
+    may replay it (see filtering.forward_pass).  The log evidence is the free energy at
     the reported path: the smoothed one for adf-s, the filtered one for
     plain adf; it is NaN when a site cannot be matched there.
     """
@@ -389,14 +415,16 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             else:
                 sites.obs_h[s], sites.obs_J[s], tm, _ = matched
                 mean, cov = tm.mean, tm.cov
-        if loss is not None:
-            lam = continuous_site_update(loss, GaussianMoments(mean, cov),
-                                         times[k])
-            sites.cont_h[k] = lam.h
-            sites.cont_J[k] = lam.J
+        if loss is None:
+            return False
+        lam = continuous_site_update(loss, GaussianMoments(mean, cov),
+                                     times[k])
+        sites.cont_h[k] = lam.h
+        sites.cont_J[k] = lam.J
+        return bool(lam.h.any() or lam.J.any())
 
     fwd = forward_pass(spec, sites, init, grid, counter=counter,
-                       site_hook=set_sites)
+                       site_hook=set_sites, hook_every_node=loss is not None)
     path = fwd.filtered
     if smoothing:
         path = backward_pass(spec, fwd, counter=counter)

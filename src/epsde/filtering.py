@@ -245,15 +245,18 @@ def _guarded(run, d, counter):
 
 def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
                  grid: TimeGrid, *, counter: RepairCounter | None = None,
-                 site_hook=None) -> ForwardPassResult:
+                 site_hook=None, hook_every_node: bool = False
+                 ) -> ForwardPassResult:
     """Propagate the initial marginal through flow and sites over the grid.
 
-    site_hook(k, mean, cov), when given, is called at every node k with
-    the marginal after the continuous site and before the discrete one.
-    It may set the node's discrete site and the continuous site of cell
-    k (sites.cont_h[k], sites.cont_J[k]), which the pass then applies.
-    The pass may run twice, so the sites a hook sets must depend on the
-    marginals alone, not on what it set before.
+    site_hook(k, mean, cov), when given, is called at every observation
+    node k, and at every node when hook_every_node, with the marginal
+    after the continuous site and before the discrete one.  It may set
+    the node's discrete site and the continuous site of cell k
+    (sites.cont_h[k], sites.cont_J[k]), which the pass then applies, and
+    returns whether that continuous site is nonzero.  The pass may run
+    twice, so the sites a hook sets must depend on the marginals alone,
+    not on what it set before.
     """
     rhs = closed_rhs(spec)
     d = spec.dim
@@ -286,11 +289,9 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
             flow[k] = y
             if k > 0 and cont_on[k - 1]:   # site of the cell ending here
                 y = site(y, sites.cont_h[k - 1], sites.cont_J[k - 1], dt, k)
-            if site_hook is not None:
-                site_hook(k, *unpack(y, d))
-                cont_on[k] = bool(sites.cont_h[k].any()
-                                  or sites.cont_J[k].any())
             s = obs_slot.get(k)
+            if site_hook is not None and (s is not None or hook_every_node):
+                cont_on[k] = site_hook(k, *unpack(y, d))
             if s is not None:
                 y = site(y, sites.obs_h[s], sites.obs_J[s], 1.0, k)
             post[k] = y

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epsde import cli
+from epsde import cli, engine
 from epsde.cli import (
     cmd_benchmark,
     cmd_infer,
@@ -93,6 +93,9 @@ def test_config_errors_name_the_key_path(tmp_path):
         ("method: vi", "method"),
         ("observations: {count: -1}", "observations.count"),
         ("observations: {times: [1.0, 1.0]}", "observations.times"),
+        # two times nearest to one grid node, t = 3 on this grid
+        ("grid: {n_steps: 10}\nobservations: {times: [4.0, 4.4]}",
+         "observations.times: times 4 and 4.4 share grid node 1"),
         ("observations: {model: {kind: log_normal, variance: -3.0}}",
          "observations.model.variance"),
         ("observations: {model: {kind: log_normal, variance: .nan}}",
@@ -572,6 +575,51 @@ seed: 7
         cmd_benchmark(cfg, out=tmp_path / "out")
     assert str(exc.value) == ("benchmark failed: 1/1 replicates errored; "
                               f"the first at variance 750, seed 7: {error}")
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "benchmark"])
+def test_observation_times_sharing_a_grid_node_are_exit_2(tmp_path, capsys,
+                                                          command):
+    text = ("grid: {n_steps: 10}\nobservations: {times: [4.0, 4.4]}\n"
+            "benchmark: {replicates: 1}\n")
+    argv = [command, "--config", str(_write(tmp_path, text))]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "observations.times: times 4 and 4.4 share grid node 1" \
+        in capsys.readouterr().err
+
+
+def test_benchmark_runs_adfs_once_per_replicate(tmp_path, monkeypatch):
+    # bench/tracer.py's stopwatch times cli.run_adf and cli.run_ep and
+    # reads the observations from args[1]; EP continues from the ADF-S
+    # result instead of running engine.run_adf itself
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args[1]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_adf", spy("adf-s", cli.run_adf))
+    monkeypatch.setattr(cli, "run_ep", spy("ep", cli.run_ep))
+    monkeypatch.setattr(engine, "run_adf", spy("inner", engine.run_adf))
+    text = """\
+model: lv
+horizon: {t0: 0.0, t1: 4.0}
+grid: {n_steps: 100}
+observations:
+  count: 4
+  model: {kind: log_normal, variance: 750.0}
+benchmark: {variances: [750.0], replicates: 2}
+seed: 7
+"""
+    cmd_benchmark(load_config(_write(tmp_path, text)), out=tmp_path / "out")
+    assert [name for name, _ in calls] == ["adf-s", "ep", "adf-s", "ep"]
+    for (_, adfs_obs), (_, ep_obs) in (calls[:2], calls[2:]):
+        assert ep_obs is adfs_obs and len(adfs_obs) == 4
+        assert all(isinstance(o, Observation) for o in adfs_obs)
 
 
 # the benchmark's Lotka-Volterra setup (see conftest.BENCHMARK_YAML)

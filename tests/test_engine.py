@@ -299,6 +299,46 @@ def test_adf_skips_untractable_site_and_flags_evidence(smoothing):
         run_adf(*_untractable_case(), smoothing=smoothing))
 
 
+def _ep_outputs(res):
+    return _adf_outputs(res) + (res.max_site_delta_history.tobytes(),
+                                res.converged)
+
+
+@pytest.mark.parametrize("case", [_log_normal_ep_args, _untractable_case],
+                         ids=["log-normal", "untractable"])
+def test_ep_from_handed_adfs_equals_ep_bit_for_bit(case, monkeypatch):
+    expected = _ep_outputs(run_ep(*case()))
+    adfs = run_adf(*case(), smoothing=True)
+    handed = _ep_outputs(adfs)
+
+    def no_second_adfs(*args, **kwargs):
+        raise AssertionError("run_ep ran ADF-S itself")
+
+    monkeypatch.setattr(engine, "run_adf", no_second_adfs)
+    assert _ep_outputs(run_ep(*case(), adfs=adfs)) == expected
+    assert _ep_outputs(adfs) == handed
+
+
+def test_ep_rejects_an_adfs_it_does_not_continue_from():
+    spec, obs, model, _, prior, grid = _log_normal_ep_args()
+    adfs = run_adf(spec, obs, model, None, prior, grid, smoothing=True)
+    others = [
+        # runs that do not continue from ADF-S
+        (_quartic_ep_args(), adfs),
+        (_gaussian_ep_args(),
+         run_adf(*_gaussian_ep_args(), smoothing=True)),
+        # not an adf-s result
+        ((spec, obs, model, None, prior, grid),
+         run_adf(spec, obs, model, None, prior, grid)),
+        # other observation nodes, another grid
+        ((spec, obs[1:], model, None, prior, grid), adfs),
+        ((spec, obs, model, None, prior, TimeGrid(0.0, 8.0, 200)), adfs),
+    ]
+    for args, handed in others:
+        with pytest.raises(ValueError, match="^adfs: "):
+            run_ep(*args, adfs=handed)
+
+
 def _near_exact_lv_case():
     # log-normal observations far sharper than the prior: the quadrature
     # collapses the tilted covariances and its PSD guard repairs them

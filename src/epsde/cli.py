@@ -265,22 +265,13 @@ def load_config(path) -> ExperimentConfig:
         if "count" not in obs_node:
             flags["observation_schedule"] = True
         step = (t1 - t0) / count if count else 0.0
-        obs_times = t0 + step * np.arange(1, count + 1)
-    if obs_times.size and ((obs_times < t0).any() or (obs_times > t1).any()):
-        raise ConfigError("observations.times: outside horizon")
-    if obs_times.size > 1 and (np.diff(obs_times) <= 0).any():
-        raise ConfigError("observations.times: must be strictly increasing")
-    # inference applies each observation at its nearest grid node, one
-    # observation per node
-    grid = TimeGrid(t0, t1, n_steps)
-    nodes = [grid.snap_index(t) for t in obs_times]
-    for s in range(1, len(nodes)):
-        if nodes[s] == nodes[s - 1]:
-            key = "times" if "times" in obs_node else "count"
-            raise ConfigError(
-                f"observations.{key}: times {obs_times[s - 1]:g} and "
-                f"{obs_times[s]:g} share grid node {nodes[s]} "
-                f"(t = {grid.times[nodes[s]]:g}); use a finer grid")
+        # the last time can round past t1 (30 / 29 * 29 > 30)
+        obs_times = np.minimum(t0 + step * np.arange(1, count + 1), t1)
+    try:
+        TimeGrid(t0, t1, n_steps).nodes(obs_times)
+    except ValueError as err:
+        key = "times" if "times" in obs_node else "count"
+        raise ConfigError(f"observations.{key}: {err}") from None
     node = obs_node.get("model")
     obs_model = (LogNormalObs(750.0) if node is None
                  else _build(node, "observations.model", _OBS_MODELS))
@@ -523,7 +514,7 @@ def _replicate_job(args) -> dict:
         model = LogNormalObs(variance)
         obs = sample_observations(traj, cfg.obs_times, model, seed=seed_obs)
         grid = TimeGrid(cfg.t0, cfg.t1, cfg.n_steps)
-        nodes = np.array([grid.snap_index(t) for t in cfg.obs_times])
+        nodes = grid.nodes(cfg.obs_times)
         truth_obs = traj.state_at(cfg.obs_times).astype(float)
         truth_path = traj.state_at(grid.times).astype(float)
         res = None

@@ -3,8 +3,9 @@ density filtering.
 
 Both methods approximate the posterior over latent paths by a Gaussian
 process written as the prior diffusion tilted by site factors: one
-canonical site per discrete observation and a piecewise-constant
-canonical site field for the continuous loss.
+canonical site per discrete observation, at the grid node
+filtering.TimeGrid.nodes places it at (the rule every caller shares),
+and a piecewise-constant canonical site field for the continuous loss.
 
 run_ep iterates full parallel sweeps from a start path.  A run with
 non-Gaussian observations and no continuous loss continues from ADF-S
@@ -64,6 +65,7 @@ from .filtering import apply_canonical_site  # noqa: F401
 from .gaussian import repair_psd  # noqa: F401
 from .likelihoods import (
     GaussianObs,
+    LogNormalObs,
     Observation,
     QuadraticLoss,
     QuarticLoss,
@@ -131,19 +133,21 @@ class EpResult:
     method: str
 
 
-def _snap_observations(obs: list[Observation], grid: TimeGrid, dim: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Map observation times to grid nodes, one observation per node."""
-    idx = np.empty(len(obs), dtype=np.int64)
-    values = np.empty((len(obs), dim))
-    for s, o in enumerate(obs):
-        idx[s] = grid.snap_index(o.time)
+def _snap_observations(obs: list[Observation], grid: TimeGrid, dim: int,
+                       obs_model) -> tuple[np.ndarray, np.ndarray]:
+    """The observations' nodes (grid.nodes) and stacked values; ValueError
+    names the time of a value that is not a dim-vector, or not positive
+    under a log-normal model, whose density is zero there."""
+    idx = grid.nodes([o.time for o in obs])
+    for o in obs:
         if o.value.shape != (dim,):
             raise ValueError(
                 f"observation at t={o.time} has dimension {o.value.shape}, "
                 f"expected ({dim},)")
-        values[s] = o.value
-    return idx, values
+        if isinstance(obs_model, LogNormalObs) and not (o.value > 0).all():
+            raise ValueError(f"log-normal observation at t={o.time} must be "
+                             f"positive, got {o.value}")
+    return idx, np.array([o.value for o in obs]).reshape(len(obs), dim)
 
 
 # A cavity that keeps almost none of the marginal curvature behaves
@@ -305,7 +309,7 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     """
     cfg = EpConfig() if cfg is None else cfg
     dim = spec.dim
-    idx, values = _snap_observations(obs, grid, dim)
+    idx, values = _snap_observations(obs, grid, dim, obs_model)
     from_adfs = loss is None and not isinstance(obs_model, GaussianObs)
     if adfs is not None:
         if not from_adfs:
@@ -395,7 +399,7 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     plain adf; it is NaN when a site cannot be matched there.
     """
     dim = spec.dim
-    idx, values = _snap_observations(obs, grid, dim)
+    idx, values = _snap_observations(obs, grid, dim, obs_model)
     sites = SiteSet.zeros(grid, dim, idx)
     counter = RepairCounter()
     times = grid.times

@@ -63,7 +63,7 @@ DIVERGE_THRESHOLD = 1e12
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Uniform grid with n_steps cells on [t0, t1]."""
+    """Uniform grid with n_steps cells on [t0, t1], observations at nodes()."""
 
     t0: float
     t1: float
@@ -83,12 +83,26 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
-    def snap_index(self, t: float) -> int:
-        """Nearest node index; rejects times outside the horizon."""
-        idx = int(round((t - self.t0) / self.dt))
-        if idx < 0 or idx > self.n_steps:
-            raise ValueError(f"time {t} lies outside [{self.t0}, {self.t1}]")
-        return idx
+    def nodes(self, times) -> np.ndarray:
+        """The node nearest each observation time, a half-way time taking
+        the even one: the one rule that places observations.  ValueError
+        names a time outside [t0, t1] (NaN included), times that do not
+        strictly increase, and two times that share a node."""
+        t = np.asarray(times, dtype=float).reshape(-1)
+        idx = np.rint((t - self.t0) / self.dt)
+        for s in range(len(t)):
+            if not self.t0 <= t[s] <= self.t1:
+                raise ValueError(f"time {t[s]} lies outside "
+                                 f"[{self.t0}, {self.t1}]")
+            if s and t[s] <= t[s - 1]:
+                raise ValueError(f"times must strictly increase, got "
+                                 f"{t[s - 1]} before {t[s]}")
+            if s and idx[s] == idx[s - 1]:
+                k = int(idx[s])
+                raise ValueError(
+                    f"times {t[s - 1]:g} and {t[s]:g} share grid node {k} "
+                    f"(t = {self.times[k]:g}); use a finer grid")
+        return idx.astype(np.int64)
 
 
 @dataclass(eq=False)
@@ -177,22 +191,16 @@ def apply_canonical_site(mean: np.ndarray, cov: np.ndarray, h: np.ndarray,
     return mean1, cov1, dlz
 
 
-def _rk4(f, y, dt):
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def _rk4_stages(rhs, y, h, refs):
-    """One backward Runge-Kutta step; refs = forward reference rows z
-    (closure.smoothing_reference) at t+h, the midpoint and t."""
+def _rk4(f, y, h, refs):
+    """One classical Runge-Kutta step of y' = f(y, z) from t to t + h,
+    refs holding z at t, the midpoint and t + h: the backward pass steps
+    with h < 0 against forward reference rows (closure.smoothing_reference),
+    and the forward flow ignores z."""
     z1, z2, z3 = refs
-    k1 = rhs.smoothing(y, z1)
-    k2 = rhs.smoothing(y + 0.5 * h * k1, z2)
-    k3 = rhs.smoothing(y + 0.5 * h * k2, z2)
-    k4 = rhs.smoothing(y + h * k3, z3)
+    k1 = f(y, z1)
+    k2 = f(y + 0.5 * h * k1, z2)
+    k3 = f(y + 0.5 * h * k2, z2)
+    k4 = f(y + h * k3, z3)
     return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -269,6 +277,9 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
                | sites.cont_J.any(axis=(1, 2))).tolist()
     y0 = pack(init.mean, init.cov)
 
+    def flow_rhs(y, _):
+        return rhs.forward(y)
+
     def run(guard):
         y = y0
         flow, post = np.empty((2, N + 1, len(y)))
@@ -283,7 +294,7 @@ def forward_pass(spec: SdeSpec, sites: SiteSet, init: GaussianMoments,
 
         for k in range(N + 1):
             if k > 0:
-                y = _rk4(rhs.forward, y, dt)
+                y = _rk4(flow_rhs, y, dt, (None, None, None))
                 if guard:
                     y = _repair(y, d, counter)
             flow[k] = y
@@ -365,20 +376,14 @@ def backward_pass(spec: SdeSpec, fwd: ForwardPassResult, *,
         y = rows[N] = pack(fwd.post_means[N], fwd.post_covs[N])
         for k in range(N - 1, -1, -1):
             n_sub = n_subs[k]
-            if n_sub == 1:
-                y = _rk4_stages(rhs, y, -dt, refs[k])
+            for j in range(n_sub - 1, -1, -1):
+                z = (refs[k] if n_sub == 1 else
+                     hermite_refs(k, np.array([j + 1, j + 0.5, j]) / n_sub)[0])
+                y = _rk4(rhs.smoothing, y, -dt / n_sub, z)
                 if guard:
                     y = _repair(y, d, counter)
-            else:
-                h = -dt / n_sub
-                for j in range(n_sub - 1, -1, -1):
-                    s = np.array([(j + 1) / n_sub, (j + 0.5) / n_sub,
-                                  j / n_sub])
-                    y = _rk4_stages(rhs, y, h, hermite_refs(k, s)[0])
-                    if guard:
-                        y = _repair(y, d, counter)
-                    elif j:
-                        inner.append(y)
+                elif j:
+                    inner.append(y)
             if guard:
                 _check_finite(y, k)
             rows[k] = y

@@ -211,6 +211,12 @@ def test_default_observation_schedule_is_evenly_spaced(tmp_path):
     assert cfg.obs_times[-1] == pytest.approx(30.0)
 
 
+def test_observation_count_schedule_ends_at_t1(tmp_path):
+    # 30 / 29 * 29 rounds to 30.000000000000004, past t1
+    cfg = load_config(_write(tmp_path, "observations: {count: 29}"))
+    assert cfg.obs_times[-1] == 30.0 and len(cfg.obs_times) == 29
+
+
 # ---------------------------------------------------------------------------
 # CSV round-trips
 
@@ -379,6 +385,25 @@ def test_infer_malformed_observation_cell_is_exit_2(tmp_path, capsys, cell):
     assert code == 2
     err = capsys.readouterr().err
     assert "bad.csv" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("4.0,90.0,110.0\n4.004,95.0,100.0",
+     "times 4 and 4.004 share grid node 400 (t = 4); use a finer grid"),
+    ("6.0,90.0,110.0\n8.004,95.0,100.0", "time 8.004 lies outside [0.0, 8.0]"),
+    ("6.0,-5.0,80.0", "log-normal observation at t=6.0 must be positive"),
+], ids=["shared-node", "past-t1", "non-positive"])
+def test_infer_observations_meet_the_config_rule(tmp_path, capsys, rows,
+                                                 message):
+    # a CSV observation is placed as a config time is, and exits 2
+    cfg_path = _write(tmp_path, LV_SMALL_YAML)
+    obs_path = tmp_path / "obs.csv"
+    obs_path.write_text(f"t,y1,y2\n{rows}\n")
+    code = main(["infer", "--config", str(cfg_path),
+                 "--observations", str(obs_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])

@@ -478,3 +478,19 @@ def test_observation_validation():
     clash = [Observation(1.0, np.zeros(2)), Observation(1.0001, np.zeros(2))]
     with pytest.raises(ValueError):
         run_ep(spec, clash, GaussianObs(R2), None, PRIOR2, grid)
+
+
+@pytest.mark.parametrize("run", [run_ep, run_adf], ids=["ep", "adf"])
+@pytest.mark.parametrize("times, values, message", [
+    ([3.0, 3.01], [25.0, 26.0],
+     r"times 3 and 3\.01 share grid node 150 \(t = 3\)"),
+    # nearest to the last node, but past t1
+    ([3.0, 8.01], [25.0, 26.0], r"time 8\.01 lies outside \[0\.0, 8\.0\]"),
+    ([3.0, 5.0], [25.0, -5.0],
+     r"log-normal observation at t=5\.0 must be positive"),
+], ids=["shared-node", "past-t1", "non-positive"])
+def test_observations_meet_one_placement_rule(run, times, values, message):
+    spec, grid, prior, model, _ = _birth_death_case()
+    obs = [Observation(t, [y]) for t, y in zip(times, values)]
+    with pytest.raises(ValueError, match=message):
+        run(spec, obs, model, None, prior, grid)

@@ -47,8 +47,7 @@ PRIOR2 = GaussianMoments(np.array([1.0, -0.5]),
 
 def _gauss_sites(grid, obs_times, obs_values, R):
     d = len(R)
-    idx = [grid.snap_index(t) for t in obs_times]
-    sites = SiteSet.zeros(grid, d, idx)
+    sites = SiteSet.zeros(grid, d, grid.nodes(obs_times))
     Rinv = np.linalg.inv(R)
     for k, y in enumerate(obs_values):
         sites.obs_h[k] = Rinv @ y
@@ -68,15 +67,38 @@ def _obs_case(n_steps=500):
 def test_grid_nodes_and_snapping():
     grid = TimeGrid(0.0, 2.0, 4)
     np.testing.assert_allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert grid.snap_index(1.0) == 2
-    assert grid.snap_index(1.2) == 2
-    assert grid.snap_index(0.0) == 0
+    assert grid.nodes([1.0]).tolist() == [2]
+    assert grid.nodes([1.2]).tolist() == [2]
+    assert grid.nodes([0.0]).tolist() == [0]
     with pytest.raises(ValueError):
-        grid.snap_index(2.6)
+        grid.nodes([2.6])
     with pytest.raises(ValueError):
-        grid.snap_index(-0.4)
+        grid.nodes([-0.4])
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0, 10)
+
+
+def test_grid_nodes_place_observations_by_one_rule():
+    grid = TimeGrid(0.0, 2.0, 4)   # dt = 0.5
+    # exact endpoints, and half-way times rounding to the even node
+    assert grid.nodes([0.0, 2.0]).tolist() == [0, 4]
+    assert grid.nodes([0.25, 0.75, 1.75]).tolist() == [0, 2, 4]
+    assert grid.nodes([1.25]).tolist() == [2]
+    assert grid.nodes([]).tolist() == []
+    # nearer to the last node than dt / 2, but past t1
+    with pytest.raises(ValueError,
+                       match=r"time 2\.2 lies outside \[0\.0, 2\.0\]"):
+        grid.nodes([1.0, 2.2])
+    with pytest.raises(ValueError, match="time -0.1 lies outside"):
+        grid.nodes([-0.1])
+    with pytest.raises(ValueError, match="time nan lies outside"):
+        grid.nodes([0.5, np.nan])
+    with pytest.raises(ValueError, match="must strictly increase, got 1.5 "
+                                         "before 1.0"):
+        grid.nodes([0.5, 1.5, 1.0])
+    with pytest.raises(ValueError, match=r"times 1 and 1\.2 share grid node 2 "
+                                         r"\(t = 1\); use a finer grid"):
+        grid.nodes([0.5, 1.0, 1.2])
 
 
 def test_site_set_validation():

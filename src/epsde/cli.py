@@ -6,7 +6,7 @@ success, 2 configuration error, 3 numerical failure, 4 non-convergence
 under --require-convergence.  A kinded section (model, observations
 model, loss) is built by the constructor its kind names in a table, with
 its other keys as the keyword arguments; that constructor checks the
-values, and load_config checks only what needs the rest of the file.
+values, and engine.check_problem how they fit the model and horizon.
 
 Emitted artifacts are plain CSV (17 significant digits, lossless for
 float64 round-trips) plus a diagnostics JSON per inference run.  Any
@@ -24,14 +24,14 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .closure import closed_rhs, pack, unpack
-from .engine import EpConfig, EpResult, run_adf, run_ep
+from .engine import EpConfig, check_problem, run_adf, run_ep
 from .errors import ConfigError, NotConverged, NumericalError
 from .filtering import MarginalPath, TimeGrid
 from .gaussian import GaussianMoments, finite_array, symmetric_pd
@@ -218,13 +218,15 @@ def load_config(path) -> ExperimentConfig:
         _known(horizon, "horizon", ("t0", "t1"))
         t0 = _get(horizon, "t0", "horizon", default=0.0, kind=float)
         t1 = _get(horizon, "t1", "horizon", kind=float)
-    if not -np.inf < t0 < t1 < np.inf:
-        raise ConfigError("horizon: t0 and t1 must be finite, t1 above t0")
-
     grid_node = raw.get("grid") or {}
     _known(grid_node, "grid", ("n_steps",))
-    n_steps = _integer(grid_node, "n_steps", "grid", round((t1 - t0) / 0.01),
-                       least=1)
+    # 0.01 apart by default; TimeGrid reports an infinite horizon first
+    default = round((t1 - t0) / 0.01) if np.isfinite(t1 - t0) else 0
+    try:
+        grid = TimeGrid(t0, t1, grid_node.get("n_steps", default))
+    except ValueError as err:
+        key = "grid" if str(err).startswith("n_steps") else "horizon"
+        raise ConfigError(f"{key}.{err}") from None
 
     init_node = raw.get("init")
     if init_node is None:
@@ -268,26 +270,20 @@ def load_config(path) -> ExperimentConfig:
         # the last time can round past t1 (30 / 29 * 29 > 30)
         obs_times = np.minimum(t0 + step * np.arange(1, count + 1), t1)
     try:
-        TimeGrid(t0, t1, n_steps).nodes(obs_times)
+        grid.nodes(obs_times)
     except ValueError as err:
         key = "times" if "times" in obs_node else "count"
         raise ConfigError(f"observations.{key}: {err}") from None
     node = obs_node.get("model")
     obs_model = (LogNormalObs(750.0) if node is None
                  else _build(node, "observations.model", _OBS_MODELS))
-    if isinstance(obs_model, GaussianObs) and len(obs_model.R) != dim:
-        raise ConfigError(f"observations.model.R: expected {dim}x{dim}")
-
     node = raw.get("loss")
     loss = None if node is None else _build(node, "loss", _LOSSES)
-    if isinstance(loss, QuadraticLoss) and len(loss.c) != dim:
-        raise ConfigError(f"loss.c: expected length {dim}")
-    if isinstance(loss, QuarticLoss):
-        if len(loss.weight) != dim:
-            raise ConfigError(f"loss.weight: expected length {dim}")
-        active = loss.window[loss.weight > 0]
-        if active.size and (active.min() < t0 or active.max() > t1):
-            raise ConfigError(f"loss.window: outside horizon [{t0}, {t1}]")
+    try:
+        check_problem(sde, [], obs_model, loss, init, grid)
+    except ValueError as err:
+        raise ConfigError(str(err).replace(
+            "obs_model.", "observations.model.", 1)) from None
 
     method = _get(raw, "method", "", default="ep", kind=str)
     if method not in METHODS:
@@ -310,9 +306,9 @@ def load_config(path) -> ExperimentConfig:
     output = _get(raw, "output", "", default="out", kind=str)
 
     return ExperimentConfig(
-        mjp=mjp, sde=sde, t0=t0, t1=t1, n_steps=n_steps, init=init, x0=x0,
-        obs_times=obs_times, obs_model=obs_model, loss=loss, method=method,
-        ep=ep, seed=seed, variances=tuple(variances.tolist()),
+        mjp=mjp, sde=sde, t0=t0, t1=t1, n_steps=grid.n_steps, init=init,
+        x0=x0, obs_times=obs_times, obs_model=obs_model, loss=loss,
+        method=method, ep=ep, seed=seed, variances=tuple(variances.tolist()),
         replicates=replicates, output=output, non_paper_defaults=flags)
 
 
@@ -421,17 +417,6 @@ def cmd_simulate(cfg: ExperimentConfig, out=None, seed=None) -> dict:
     return {"trajectory": str(traj_path), "observations": str(obs_path)}
 
 
-def _run_method(cfg: ExperimentConfig, obs: list[Observation],
-                grid: TimeGrid, adfs: EpResult | None = None) -> EpResult:
-    """Run cfg.method; EP continues from adfs, this problem's ADF-S
-    result, when the caller has one (see run_ep)."""
-    if cfg.method == "ep":
-        return run_ep(cfg.sde, obs, cfg.obs_model, cfg.loss, cfg.init, grid,
-                      cfg.ep, adfs=adfs)
-    return run_adf(cfg.sde, obs, cfg.obs_model, cfg.loss, cfg.init, grid,
-                   smoothing=cfg.method == "adf-s")
-
-
 def cmd_infer(cfg: ExperimentConfig, obs_file, out=None,
               require_convergence: bool = False) -> dict:
     """Run the configured method on observations read from a CSV file."""
@@ -440,7 +425,9 @@ def cmd_infer(cfg: ExperimentConfig, obs_file, out=None,
     grid = TimeGrid(cfg.t0, cfg.t1, cfg.n_steps)
     started = time.perf_counter()
     try:
-        res = _run_method(cfg, obs, grid)
+        problem = (cfg.sde, obs, cfg.obs_model, cfg.loss, cfg.init, grid)
+        res = (run_ep(*problem, cfg.ep) if cfg.method == "ep"
+               else run_adf(*problem, smoothing=cfg.method == "adf-s"))
     except ValueError as err:
         raise ConfigError(f"observations incompatible with config: {err}") \
             from err
@@ -502,8 +489,8 @@ def _rms(err: np.ndarray) -> float:
 def _replicate_job(args) -> dict:
     """One benchmark replicate: simulate a path, sample log-normal
     observations, run ADF-S, then EP continuing from that ADF-S result,
-    so ADF-S runs once.  Both go through this module's run_adf and
-    run_ep (see _run_method), looked up at call time."""
+    so ADF-S runs once.  run_adf and run_ep are this module's names,
+    looked up at call time, with the observations second."""
     cfg, variance, seed_traj, seed_obs = args
     out = {"variance": variance, "seed": seed_traj, "error": None}
     # the error string names the stage that raised
@@ -517,11 +504,12 @@ def _replicate_job(args) -> dict:
         nodes = grid.nodes(cfg.obs_times)
         truth_obs = traj.state_at(cfg.obs_times).astype(float)
         truth_path = traj.state_at(grid.times).astype(float)
+        problem = (cfg.sde, obs, model, None, cfg.init, grid)
         res = None
         for stage in ("adf-s", "ep"):
-            # EP's adfs is the ADF-S result of the stage before
-            res = _run_method(replace(cfg, method=stage, obs_model=model,
-                                      loss=None), obs, grid, adfs=res)
+            # EP continues from the ADF-S result of the stage before
+            res = (run_ep(*problem, cfg.ep, adfs=res) if stage == "ep"
+                   else run_adf(*problem, smoothing=True))
             out[stage] = {
                 "rmse_observations": _rms(res.smoothed.means[nodes]
                                           - truth_obs),
@@ -570,24 +558,23 @@ def cmd_benchmark(cfg: ExperimentConfig, out=None, workers: int = 1
 
     rows = []
     for variance in cfg.variances:
-        ok = [r for r in results
-              if r["variance"] == variance and not r["error"]]
-        failed = sum(1 for r in results
-                     if r["variance"] == variance and r["error"])
+        mine = [r for r in results if r["variance"] == variance]
+        ok = [r for r in mine if not r["error"]]
+        if not ok:
+            raise NumericalError(
+                f"benchmark failed: every replicate at variance {variance:g} "
+                f"errored; the first, seed {mine[0]['seed']}: "
+                f"{mine[0]['error']}")
         for method in ("adf-s", "ep"):
             cells = [r[method] for r in ok]
-            rows.append({
-                "variance": variance,
-                "method": method,
-                "rmse_observations": float(np.mean(
-                    [c["rmse_observations"] for c in cells])),
-                "rmse_path": float(np.mean([c["rmse_path"] for c in cells])),
-                "mean_sweeps": float(np.mean([c["sweeps"] for c in cells])),
-                "converged_fraction": float(np.mean(
-                    [c["converged"] for c in cells])),
-                "replicates": len(cells),
-                "failures": failed,
-            })
+            mean = {k: float(np.mean([c[k] for c in cells])) for k in cells[0]}
+            rows.append({"variance": variance, "method": method,
+                         "rmse_observations": mean["rmse_observations"],
+                         "rmse_path": mean["rmse_path"],
+                         "mean_sweeps": mean["sweeps"],
+                         "converged_fraction": mean["converged"],
+                         "replicates": len(cells),
+                         "failures": len(mine) - len(ok)})
     report = BenchmarkReport(rows=tuple(rows), replicates=cfg.replicates,
                              replicate_details=tuple(results))
 

@@ -133,11 +133,25 @@ class EpResult:
     method: str
 
 
-def _snap_observations(obs: list[Observation], grid: TimeGrid, dim: int,
-                       obs_model) -> tuple[np.ndarray, np.ndarray]:
-    """The observations' nodes (grid.nodes) and stacked values; ValueError
-    names the time of a value that is not a dim-vector, or not positive
-    under a log-normal model, whose density is zero there."""
+def check_problem(spec: SdeSpec, obs: list[Observation], obs_model, loss,
+                  init: GaussianMoments, grid: TimeGrid
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The observations' nodes (grid.nodes) and values, after checking that
+    the problem fits spec.dim and the grid; a ValueError starts with the
+    argument and field at fault (loss.c: ...) or names an observation."""
+    dim = spec.dim
+    if init.dim != dim:
+        raise ValueError(f"init.mean: expected length {dim}, got {init.dim}")
+    if isinstance(obs_model, GaussianObs) and obs_model.R.shape != (dim, dim):
+        raise ValueError(f"obs_model.R: expected {dim}x{dim}")
+    if isinstance(loss, QuadraticLoss) and len(loss.c) != dim:
+        raise ValueError(f"loss.c: expected length {dim}")
+    if isinstance(loss, QuarticLoss):
+        if len(loss.weight) != dim:
+            raise ValueError(f"loss.weight: expected length {dim}")
+        active = loss.window[loss.weight > 0]
+        if active.size and (active.min() < grid.t0 or active.max() > grid.t1):
+            raise ValueError(f"loss.window: outside [{grid.t0}, {grid.t1}]")
     idx = grid.nodes([o.time for o in obs])
     for o in obs:
         if o.value.shape != (dim,):
@@ -235,10 +249,9 @@ def _init_sites(obs_model, values: np.ndarray, loss, grid: TimeGrid,
         sites.cont_J[:] = loss.A
     elif isinstance(loss, QuarticLoss):
         prec = _QUARTIC_PRECISION * np.sqrt(loss.weight)
-        for k, t in enumerate(grid.times):
-            gate = loss.active(t) & (loss.weight > 0.0)
-            sites.cont_J[k][np.diag_indices(dim)] = np.where(gate, prec, 0.0)
-            sites.cont_h[k] = np.where(gate, prec * loss.center, 0.0)
+        gate = loss.active(grid.times) & (loss.weight > 0.0)
+        sites.cont_J[:, range(dim), range(dim)] = np.where(gate, prec, 0.0)
+        sites.cont_h[:] = np.where(gate, prec * loss.center, 0.0)
     return sites
 
 
@@ -303,13 +316,13 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     run_adf(..., smoothing=True) on the same arguments, hands it in as
     adfs, and the run continues from it instead of computing it again;
     the result is the same, bit for bit, and adfs is not modified.
-    ValueError names adfs when the run does not continue from ADF-S (a
+    ValueError names the argument and field of a rule check_problem
+    finds broken, and adfs when the run does not continue from ADF-S (a
     loss, or Gaussian observations), when adfs is not an adf-s result,
     or when its observation nodes or grid differ from this run's.
     """
+    idx, values = check_problem(spec, obs, obs_model, loss, init, grid)
     cfg = EpConfig() if cfg is None else cfg
-    dim = spec.dim
-    idx, values = _snap_observations(obs, grid, dim, obs_model)
     from_adfs = loss is None and not isinstance(obs_model, GaussianObs)
     if adfs is not None:
         if not from_adfs:
@@ -336,7 +349,7 @@ def run_ep(spec: SdeSpec, obs: list[Observation], obs_model, loss,
             counter.add(adfs.psd_repairs)
             skipped = adfs.skipped_updates
         else:
-            sites = _init_sites(obs_model, values, loss, grid, dim, idx)
+            sites = _init_sites(obs_model, values, loss, grid, spec.dim, idx)
             fwd = forward_pass(spec, sites, init, grid, counter=counter)
             smoothed = backward_pass(spec, fwd, counter=counter)
             skipped = 0
@@ -396,11 +409,11 @@ def run_adf(spec: SdeSpec, obs: list[Observation], obs_model, loss,
     counted as skipped.  The hook reads only the marginal, so the pass
     may replay it (see filtering.forward_pass).  The log evidence is the free energy at
     the reported path: the smoothed one for adf-s, the filtered one for
-    plain adf; it is NaN when a site cannot be matched there.
+    plain adf; it is NaN when a site cannot be matched there.  ValueError
+    names the argument and field of a rule check_problem finds broken.
     """
-    dim = spec.dim
-    idx, values = _snap_observations(obs, grid, dim, obs_model)
-    sites = SiteSet.zeros(grid, dim, idx)
+    idx, values = check_problem(spec, obs, obs_model, loss, init, grid)
+    sites = SiteSet.zeros(grid, spec.dim, idx)
     counter = RepairCounter()
     times = grid.times
     obs_slot = {int(i): s for s, i in enumerate(idx)}

@@ -63,17 +63,21 @@ DIVERGE_THRESHOLD = 1e12
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Uniform grid with n_steps cells on [t0, t1], observations at nodes()."""
+    """Uniform grid of n_steps >= 1 cells on a finite [t0, t1], t0 < t1."""
 
     t0: float
     t1: float
     n_steps: int
 
     def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise ValueError("t1 must exceed t0")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+        # NaN fails every comparison, so it is rejected too
+        if not -np.inf < self.t0 < np.inf:
+            raise ValueError(f"t0: must be finite, got {self.t0!r}")
+        if not self.t0 < self.t1 < np.inf:
+            raise ValueError(f"t1: must be finite and > t0, got {self.t1!r}")
+        n = self.n_steps
+        if not isinstance(n, (int, np.integer)) or n < 1 or n is True:
+            raise ValueError(f"n_steps: expected an integer >= 1, got {n!r}")
 
     @property
     def dt(self) -> float:
@@ -125,10 +129,6 @@ class SiteSet:
     @classmethod
     def zeros(cls, grid: TimeGrid, dim: int, obs_idx) -> "SiteSet":
         obs_idx = np.asarray(obs_idx, dtype=np.int64)
-        if len(obs_idx) and (np.diff(obs_idx) <= 0).any():
-            raise ValueError("observation nodes must be strictly increasing")
-        if len(obs_idx) and (obs_idx[0] < 0 or obs_idx[-1] > grid.n_steps):
-            raise ValueError("observation node outside the grid")
         n = len(obs_idx)
         return cls(obs_idx,
                    np.zeros((n, dim)), np.zeros((n, dim, dim)),

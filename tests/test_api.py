@@ -83,6 +83,14 @@ def test_benchmark_tracer_layers_resolve(monkeypatch):
                  id="damping-str"),
     pytest.param(lambda: epsde.EpConfig(damping=True), "damping",
                  id="damping-bool"),
+    pytest.param(lambda: epsde.TimeGrid(-np.inf, 1.0, 10), "t0",
+                 id="t0-inf"),
+    pytest.param(lambda: epsde.TimeGrid(0.0, np.inf, 10), "t1",
+                 id="t1-inf"),
+    pytest.param(lambda: epsde.TimeGrid(0.0, 1.0, 10.5), "n_steps",
+                 id="n_steps-fraction"),
+    pytest.param(lambda: epsde.TimeGrid(0.0, 1.0, True), "n_steps",
+                 id="n_steps-bool"),
 ])
 def test_constructors_reject_invalid_values(make, key):
     with pytest.raises(ValueError) as exc:

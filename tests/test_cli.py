@@ -173,6 +173,15 @@ def test_config_errors_name_the_key_path(tmp_path):
         ("ep: {tolerance: abc}", "ep.tolerance"),
         ("ep: {max_sweeps: 0}", "ep.max_sweeps"),
         ("ep: {init_mode: auto}", "ep.init_mode"),
+        # the problem rules of TimeGrid and engine.check_problem, under
+        # the key path of their field
+        ("horizon: {t1: .inf}", "horizon.t1: must be finite"),
+        ("horizon: {t0: .nan, t1: 1.0}", "horizon.t0: must be finite"),
+        ("grid: {n_steps: 0}", "grid.n_steps: expected an integer"),
+        ("loss: {kind: quartic, weight: [1.0], center: [1.0], "
+         "window: [[1.0, 2.0]]}", "loss.weight: expected length 2"),
+        ("loss: {kind: quartic, weight: [1.0, 0.0], center: [1.0, 1.0], "
+         "window: [[1.0, 40.0], [1.0, 2.0]]}", "loss.window: outside"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError) as exc:
@@ -600,6 +609,40 @@ seed: 7
         cmd_benchmark(cfg, out=tmp_path / "out")
     assert str(exc.value) == ("benchmark failed: 1/1 replicates errored; "
                               f"the first at variance 750, seed 7: {error}")
+
+
+def test_benchmark_variance_without_a_replicate_fails(tmp_path,
+                                                      monkeypatch):
+    # one replicate of ten errs, within the 10% rule, but it is the only
+    # one at its variance, whose row would be a mean over nothing
+    run_ep = cli.run_ep
+
+    def diverge_at_600(spec, obs, obs_model, *args, **kwargs):
+        if obs_model.variance == 600.0:
+            raise DivergedMoments("moments diverged", time_index=5)
+        return run_ep(spec, obs, obs_model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ep", diverge_at_600)
+    text = """\
+model: lv
+horizon: {t0: 0.0, t1: 4.0}
+grid: {n_steps: 100}
+observations:
+  count: 4
+  model: {kind: log_normal, variance: 750.0}
+benchmark:
+  variances: [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
+  replicates: 1
+seed: 7
+"""
+    cfg = load_config(_write(tmp_path, text))
+    with pytest.raises(NumericalError) as exc:
+        cmd_benchmark(cfg, out=tmp_path / "out")
+    # variance index 5, replicate 0: path seed 7 + 2 * 5
+    assert str(exc.value) == (
+        "benchmark failed: every replicate at variance 600 errored; the "
+        "first, seed 17: ep: DivergedMoments: moments diverged (grid node 5)")
+    assert not (tmp_path / "out" / "benchmark.json").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "benchmark"])

@@ -494,3 +494,25 @@ def test_observations_meet_one_placement_rule(run, times, values, message):
     obs = [Observation(t, [y]) for t, y in zip(times, values)]
     with pytest.raises(ValueError, match=message):
         run(spec, obs, model, None, prior, grid)
+
+
+# the rules the config file states for these parts hold for the API too:
+# 1-d parts on the 2-d LV model, and a quartic window past t1 = 3
+@pytest.mark.parametrize("run", [run_ep, run_adf], ids=["ep", "adf"])
+@pytest.mark.parametrize("obs_model, loss, init, field", [
+    (LogNormalObs(750.0), QuadraticLoss([[1e-4]], [0.01]), None, "loss.c"),
+    (LogNormalObs(750.0), QuarticLoss([1e-4], [150.0], [[0.0, 3.0]]), None,
+     "loss.weight"),
+    (LogNormalObs(750.0), QuarticLoss([1e-4, 1e-4], [150.0, 150.0],
+                                      [[1.0, 2.0], [1.0, 3.5]]), None,
+     "loss.window"),
+    (GaussianObs([[100.0]]), None, None, "obs_model.R"),
+    (LogNormalObs(750.0), None, GaussianMoments([100.0], [[100.0]]),
+     "init.mean"),
+], ids=["quadratic-c", "quartic-weight", "window-past-t1", "R", "init"])
+def test_problem_meets_the_config_rules(run, obs_model, loss, init, field):
+    spec, obs, _, _, prior, grid = _near_exact_lv_case()
+    with pytest.raises(ValueError) as exc:
+        run(spec, obs, obs_model, loss, prior if init is None else init,
+            grid)
+    assert str(exc.value).startswith(f"{field}: ")

@@ -101,15 +101,6 @@ def test_grid_nodes_place_observations_by_one_rule():
         grid.nodes([0.5, 1.0, 1.2])
 
 
-def test_site_set_validation():
-    grid = TimeGrid(0.0, 1.0, 10)
-    SiteSet.zeros(grid, 2, [0, 3, 10])
-    with pytest.raises(ValueError):
-        SiteSet.zeros(grid, 2, [3, 3])
-    with pytest.raises(ValueError):
-        SiteSet.zeros(grid, 2, [4, 11])
-
-
 def test_forward_no_sites_matches_exact_moments():
     spec = linear_sde(A2, B2)
     grid = TimeGrid(0.0, 5.0, 500)
